@@ -57,7 +57,7 @@ import (
 type (
 	// Result is the measured outcome of one executed test scenario.
 	Result = core.Result
-	// Runner executes scenarios; NewPBFTRunner returns the PBFT one.
+	// Runner executes scenarios; every Target is one.
 	Runner = core.Runner
 	// RunnerFunc adapts a function to Runner.
 	RunnerFunc = core.RunnerFunc
@@ -99,8 +99,6 @@ type (
 	Dimension = scenario.Dimension
 	// Workload fixes the non-dimension parameters of PBFT tests.
 	Workload = cluster.Workload
-	// PBFTRunner executes scenarios as simulated PBFT deployments.
-	PBFTRunner = cluster.Runner
 	// Report is the detailed outcome of one PBFT test.
 	Report = cluster.Report
 	// Target is a system under test: a deployment harness exposing
@@ -134,9 +132,9 @@ type (
 	// shipped targets wire agreement/durability (both) and election
 	// safety (Raft) checkers into every run.
 	OracleChecker = oracle.Checker
-	// Snapshotter is the snapshot/fork capability: a Target whose runner
+	// Snapshotter is the snapshot/fork capability: a Target that
 	// executes tests by forking a warm post-warmup deployment snapshot.
-	// Engines detect it automatically; both shipped targets implement it.
+	// Both shipped targets implement it.
 	Snapshotter = core.Snapshotter
 	// MinimizeConfig tunes scenario minimization.
 	MinimizeConfig = core.MinimizeConfig
@@ -216,47 +214,8 @@ func WithObserver(obs CampaignObserver) EngineOption { return core.WithObserver(
 // WithCheckpoint attaches a checkpoint for cancel-and-resume campaigns.
 func WithCheckpoint(ck *Checkpoint) EngineOption { return core.WithCheckpoint(ck) }
 
-// WithColdRuns disables snapshot/fork execution: every test cold-builds
-// a fresh deployment even when the target supports forking. Results are
-// identical either way; this exists for benchmarking the two paths.
-func WithColdRuns() EngineOption { return core.WithColdRuns() }
-
 // NewCheckpoint returns an empty campaign checkpoint.
 func NewCheckpoint() *Checkpoint { return core.NewCheckpoint() }
-
-// Campaign drives an explorer against a runner for a test budget and
-// returns the executed results in order.
-//
-// Deprecated: build an Engine over a Target instead — NewEngine(target,
-// WithExplorer(ex), WithBudget(budget)) followed by RunAll — which adds
-// streaming, cancellation and checkpointing on the same serial
-// semantics.
-func Campaign(ex Explorer, runner Runner, budget int) []Result {
-	return core.Campaign(ex, runner, budget)
-}
-
-// ParallelCampaign is Campaign with a pool of workers draining the
-// pending-test queue Ψ concurrently. Results and explorer feedback stay
-// in dispatch order, so a fixed (seed, workers) pair is deterministic
-// and workers=1 reproduces Campaign exactly. workers <= 0 uses all CPUs.
-//
-// Deprecated: build an Engine over a Target instead — NewEngine(target,
-// WithExplorer(ex), WithBudget(budget), WithWorkers(workers)) — which
-// preserves the (seed, workers) determinism contract and adds
-// streaming, cancellation and checkpointing.
-func ParallelCampaign(ex Explorer, runner Runner, budget, workers int) []Result {
-	return core.ParallelCampaign(ex, runner, budget, workers)
-}
-
-// Sweep executes independent scenarios in parallel across workers,
-// labeling every result as exhaustively generated.
-//
-// Deprecated: use an Engine with an exhaustive explorer
-// (NewExhaustiveExplorer) over a Target, which streams and cancels; or
-// core-level sweeps with an explicit generator label.
-func Sweep(scenarios []Scenario, runner Runner, workers int) []Result {
-	return core.Sweep(scenarios, runner, workers, "exhaustive")
-}
 
 // Minimize delta-debugs a vulnerable scenario down to a minimal
 // reproduction: it re-runs deterministically reduced variants of the
@@ -280,11 +239,6 @@ func TestsToImpact(results []Result, threshold float64) int {
 // DefaultWorkload returns the paper's PBFT evaluation workload (4
 // replicas, LAN latencies, compressed timers; see EXPERIMENTS.md).
 func DefaultWorkload() Workload { return cluster.DefaultWorkload() }
-
-// NewPBFTRunner builds the deployment harness executing scenarios as
-// simulated PBFT clusters. Most callers want NewPBFTTarget, which wraps
-// the same harness in the Target seam an Engine drives.
-func NewPBFTRunner(w Workload) (*PBFTRunner, error) { return cluster.NewRunner(w) }
 
 // NewPBFTTarget builds the PBFT system under test. With no plugins it
 // exposes the paper's hyperspace (MAC corruption x deployment shape);

@@ -1,28 +1,51 @@
 package avd_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"avd"
 )
 
+// funcTarget adapts a RunnerFunc to the Target seam; explorers come from
+// WithExplorer, so it declares no plugins.
+type funcTarget struct{ avd.RunnerFunc }
+
+func (funcTarget) Name() string          { return "func" }
+func (funcTarget) Plugins() []avd.Plugin { return nil }
+
+// runCampaign drives ex against target on an Engine and returns the
+// results.
+func runCampaign(t *testing.T, target avd.Target, ex avd.Explorer, budget, workers int) []avd.Result {
+	t.Helper()
+	eng, err := avd.NewEngine(target, avd.WithExplorer(ex), avd.WithBudget(budget), avd.WithWorkers(workers))
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	results, err := eng.RunAll(context.Background())
+	if err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	return results
+}
+
 // TestPublicAPIEndToEnd exercises the facade the way a downstream user
-// would: build a runner, compose plugins, run a short campaign, inspect
+// would: build a target, compose plugins, run a short campaign, inspect
 // results.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	w := avd.DefaultWorkload()
 	w.Measure = 500 * time.Millisecond
-	runner, err := avd.NewPBFTRunner(w)
+	target, err := avd.NewPBFTTarget(w)
 	if err != nil {
-		t.Fatalf("NewPBFTRunner: %v", err)
+		t.Fatalf("NewPBFTTarget: %v", err)
 	}
 	ctrl, err := avd.NewController(avd.ControllerConfig{Seed: 1, SeedTests: 4},
 		avd.NewMACCorruptPlugin(), avd.NewClientsPlugin())
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
-	results := avd.Campaign(ctrl, runner, 8)
+	results := runCampaign(t, target, ctrl, 8, 1)
 	if len(results) != 8 {
 		t.Fatalf("campaign ran %d tests, want 8", len(results))
 	}
@@ -62,11 +85,11 @@ func TestPublicAPIExplorers(t *testing.T) {
 	runner := avd.RunnerFunc(func(sc avd.Scenario) avd.Result {
 		return avd.Result{Scenario: sc, Impact: float64(sc.GetOr("x", 0)) / 9}
 	})
-	random := avd.Campaign(avd.NewRandomExplorer(space, 1), runner, 5)
+	random := runCampaign(t, funcTarget{runner}, avd.NewRandomExplorer(space, 1), 5, 1)
 	if len(random) != 5 {
 		t.Errorf("random campaign ran %d tests", len(random))
 	}
-	exhaustive := avd.Campaign(avd.NewExhaustiveExplorer(space), runner, 100)
+	exhaustive := runCampaign(t, funcTarget{runner}, avd.NewExhaustiveExplorer(space), 100, 1)
 	if len(exhaustive) != 10 {
 		t.Errorf("exhaustive campaign ran %d tests, want all 10", len(exhaustive))
 	}
@@ -75,18 +98,19 @@ func TestPublicAPIExplorers(t *testing.T) {
 	}
 }
 
-// TestPublicAPIParallelCampaign pins the parallel-engine determinism
-// contract against the real PBFT runner: one worker reproduces the
-// serial campaign exactly, and a multi-worker run reproduces itself.
-func TestPublicAPIParallelCampaign(t *testing.T) {
+// TestPublicAPIEngineWorkers pins the engine's determinism contract
+// against the real PBFT target: one worker reproduces the serial
+// campaign of cold runs exactly, and a multi-worker run reproduces
+// itself.
+func TestPublicAPIEngineWorkers(t *testing.T) {
 	w := avd.DefaultWorkload()
 	w.Measure = 300 * time.Millisecond
-	newRunner := func() *avd.PBFTRunner {
-		runner, err := avd.NewPBFTRunner(w)
+	newTarget := func() *avd.PBFTTarget {
+		target, err := avd.NewPBFTTarget(w)
 		if err != nil {
-			t.Fatalf("NewPBFTRunner: %v", err)
+			t.Fatalf("NewPBFTTarget: %v", err)
 		}
-		return runner
+		return target
 	}
 	newCtrl := func() *avd.Controller {
 		ctrl, err := avd.NewController(avd.ControllerConfig{Seed: 3, SeedTests: 4},
@@ -104,20 +128,31 @@ func TestPublicAPIParallelCampaign(t *testing.T) {
 		return out
 	}
 
-	serial := avd.Campaign(newCtrl(), newRunner(), 8)
-	oneWorker := avd.ParallelCampaign(newCtrl(), newRunner(), 8, 1)
+	// The serial reference: the paper's worker loop over cold runs.
+	var serial []avd.Result
+	ctrl, cold := newCtrl(), newTarget()
+	for len(serial) < 8 {
+		sc, _, ok := ctrl.Next()
+		if !ok {
+			break
+		}
+		res := cold.Run(sc)
+		ctrl.Record(res)
+		serial = append(serial, res)
+	}
+	oneWorker := runCampaign(t, newTarget(), newCtrl(), 8, 1)
 	a, b := fingerprint(serial), fingerprint(oneWorker)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("workers=1 diverged from Campaign at test %d: %s vs %s", i, a[i], b[i])
+			t.Fatalf("workers=1 diverged from the serial campaign at test %d: %s vs %s", i, a[i], b[i])
 		}
 		if serial[i].Impact != oneWorker[i].Impact {
 			t.Fatalf("workers=1 impact diverged at test %d", i)
 		}
 	}
 
-	par1 := avd.ParallelCampaign(newCtrl(), newRunner(), 8, 4)
-	par2 := avd.ParallelCampaign(newCtrl(), newRunner(), 8, 4)
+	par1 := runCampaign(t, newTarget(), newCtrl(), 8, 4)
+	par2 := runCampaign(t, newTarget(), newCtrl(), 8, 4)
 	c, d := fingerprint(par1), fingerprint(par2)
 	for i := range c {
 		if c[i] != d[i] {
@@ -139,7 +174,7 @@ func TestPublicAPIGenetic(t *testing.T) {
 	runner := avd.RunnerFunc(func(sc avd.Scenario) avd.Result {
 		return avd.Result{Scenario: sc, Impact: float64(sc.GetOr(avd.DimMACMask, 0)) / 4095}
 	})
-	results := avd.Campaign(ga, runner, 30)
+	results := runCampaign(t, funcTarget{runner}, ga, 30, 1)
 	if len(results) != 30 {
 		t.Fatalf("GA campaign ran %d tests, want 30", len(results))
 	}
@@ -149,7 +184,8 @@ func TestPublicAPIGenetic(t *testing.T) {
 	}
 }
 
-// TestPublicAPISweep checks parallel sweeps through the facade.
+// TestPublicAPISweep checks a parallel exhaustive sweep through the
+// facade: every point once, in grid order.
 func TestPublicAPISweep(t *testing.T) {
 	space, err := avd.NewSpace(avd.Dimension{Name: "x", Min: 0, Max: 31, Step: 1})
 	if err != nil {
@@ -162,7 +198,7 @@ func TestPublicAPISweep(t *testing.T) {
 	runner := avd.RunnerFunc(func(sc avd.Scenario) avd.Result {
 		return avd.Result{Scenario: sc, Impact: 0.5}
 	})
-	results := avd.Sweep(scs, runner, 8)
+	results := runCampaign(t, funcTarget{runner}, avd.NewExhaustiveExplorer(space), len(scs), 8)
 	if len(results) != 32 {
 		t.Fatalf("sweep returned %d results", len(results))
 	}

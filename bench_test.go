@@ -15,6 +15,8 @@
 package avd_test
 
 import (
+	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -35,13 +37,28 @@ func benchWorkload() cluster.Workload {
 	return w
 }
 
-func benchRunner(b *testing.B, w cluster.Workload) *cluster.Runner {
+func benchRunner(b *testing.B, w cluster.Workload) *cluster.Target {
 	b.Helper()
-	r, err := cluster.NewRunner(w)
+	r, err := cluster.NewTarget(w)
 	if err != nil {
-		b.Fatalf("NewRunner: %v", err)
+		b.Fatalf("NewTarget: %v", err)
 	}
 	return r
+}
+
+// campaign runs ex against target for budget tests on an Engine with
+// the given workers.
+func campaign(b *testing.B, target core.Target, ex core.Explorer, budget, workers int) []core.Result {
+	b.Helper()
+	eng, err := core.NewEngine(target, core.WithExplorer(ex), core.WithBudget(budget), core.WithWorkers(workers))
+	if err != nil {
+		b.Fatal(err)
+	}
+	results, err := eng.RunAll(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return results
 }
 
 func paperSpace(b *testing.B) *scenario.Space {
@@ -75,7 +92,7 @@ func BenchmarkFig2AVD(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		results := core.Campaign(ctrl, runner, 40)
+		results := campaign(b, runner, ctrl, 40, 1)
 		best = core.BestSoFar(results)[len(results)-1]
 		found = firstDark(results)
 	}
@@ -91,7 +108,7 @@ func BenchmarkFig2Random(b *testing.B) {
 	var best core.Result
 	var found int
 	for i := 0; i < b.N; i++ {
-		results := core.Campaign(core.NewRandomExplorer(space, int64(i+1)), runner, 40)
+		results := campaign(b, runner, core.NewRandomExplorer(space, int64(i+1)), 40, 1)
 		best = core.BestSoFar(results)[len(results)-1]
 		found = firstDark(results)
 	}
@@ -119,7 +136,7 @@ func BenchmarkFig3Subspace(b *testing.B) {
 	}
 	var dark int
 	for i := 0; i < b.N; i++ {
-		results := core.Sweep(scs, runner, 0, "exhaustive")
+		results := campaign(b, runner, core.NewExhaustiveExplorerOf(scs), len(scs), runtime.NumCPU())
 		dark = 0
 		for _, r := range results {
 			if r.Throughput < 500 {
@@ -183,7 +200,7 @@ func BenchmarkTimeToBigMACAVD(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		results := core.Campaign(ctrl, runner, 60)
+		results := campaign(b, runner, ctrl, 60, 1)
 		if n := firstDark(results); n > 0 {
 			total += float64(n)
 		} else {
@@ -201,7 +218,7 @@ func BenchmarkTimeToBigMACRandom(b *testing.B) {
 	space := paperSpace(b)
 	var total, failures float64
 	for i := 0; i < b.N; i++ {
-		results := core.Campaign(core.NewRandomExplorer(space, int64(i+1)), runner, 60)
+		results := campaign(b, runner, core.NewRandomExplorer(space, int64(i+1)), 60, 1)
 		if n := firstDark(results); n > 0 {
 			total += float64(n)
 		} else {
@@ -314,7 +331,7 @@ func BenchmarkAblationPluginFitness(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r1 := core.Campaign(c1, runner, 30)
+		r1 := campaign(b, runner, c1, 30, 1)
 		withFit = core.BestSoFar(r1)[len(r1)-1].Impact
 		c2, err := core.NewController(core.ControllerConfig{
 			Seed: int64(i + 1), SeedTests: 8, DisablePluginFitness: true,
@@ -322,7 +339,7 @@ func BenchmarkAblationPluginFitness(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r2 := core.Campaign(c2, runner, 30)
+		r2 := campaign(b, runner, c2, 30, 1)
 		without = core.BestSoFar(r2)[len(r2)-1].Impact
 	}
 	b.ReportMetric(withFit, "impact_weighted")
@@ -375,13 +392,13 @@ func BenchmarkAblationGeneticVsHillClimb(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r1 := core.Campaign(ctrl, runner, 40)
+		r1 := campaign(b, runner, ctrl, 40, 1)
 		hill = core.BestSoFar(r1)[len(r1)-1].Impact
 		ga, err := core.NewGenetic(core.GeneticConfig{Seed: int64(i + 1), Population: 10}, plugins...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		r2 := core.Campaign(ga, runner, 40)
+		r2 := campaign(b, runner, ga, 40, 1)
 		genetic = core.BestSoFar(r2)[len(r2)-1].Impact
 	}
 	b.ReportMetric(hill, "impact_hillclimb")
@@ -423,7 +440,7 @@ func scenarioName(clients int64) string {
 func BenchmarkPublicAPICampaign(b *testing.B) {
 	w := avd.DefaultWorkload()
 	w.Measure = 500 * time.Millisecond
-	runner, err := avd.NewPBFTRunner(w)
+	target, err := avd.NewPBFTTarget(w)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -434,7 +451,14 @@ func BenchmarkPublicAPICampaign(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		results := avd.Campaign(ctrl, runner, 15)
+		eng, err := avd.NewEngine(target, avd.WithExplorer(ctrl), avd.WithBudget(15))
+		if err != nil {
+			b.Fatal(err)
+		}
+		results, err := eng.RunAll(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
 		best = avd.BestSoFar(results)[len(results)-1]
 	}
 	b.ReportMetric(best.Impact, "impact")

@@ -25,9 +25,8 @@
 //   - campaign_phases: the serial fig2 campaign's wall-clock decomposed
 //     into master build+warmup, baseline measurement, fork
 //     (restore+arm), measurement windows and impact scoring. Phases are
-//     accumulated inside the harness, so overlapped work (the pipelined
-//     prefetcher, parallel workers, fork-path baselines) can make the
-//     sections sum past the campaign seconds.
+//     accumulated inside the harness, so overlapped work (parallel
+//     workers) can make the sections sum past the campaign seconds.
 //   - sharded_campaign: the crash-safe sharded runtime's overhead — a
 //     K-shard PBFT campaign with durable checkpoints (journal fsync per
 //     batch), then the cold-resume cost of reloading every shard's
@@ -294,17 +293,17 @@ func main() {
 		var serialTarget core.Target
 		rep.Campaign, serialTarget = campaign("pbft", func() core.Target { return newPBFT() })
 		// The phase decomposition comes from the serial run, where the
-		// sections sum to roughly the campaign wall-clock (no worker or
-		// prefetch overlap).
+		// sections sum to roughly the campaign wall-clock (no worker
+		// overlap).
 		rep.CampaignPhases = serialTarget.(*cluster.Target).Phases()
 		rep.RaftCampaign, _ = campaign("raft", func() core.Target { return newRaft() })
 		rep.SnapshotFork.CampaignTestsPerSec = rep.Campaign.SerialTestsPerSec
 		if *matrix {
 			// Worker-scaling matrix: the parallel fig2 campaign pinned to
-			// each GOMAXPROCS level with workers to match. The per-worker
-			// arena fork path (core.WorkerSnapshotter) removes the shared
-			// checkout lock, so on real multi-proc hardware the rows should
-			// approach linear; on a 1-proc container they measure only
+			// each GOMAXPROCS level with workers to match. Each worker
+			// forks its own slot's masters (core.WorkerSnapshotter), so
+			// on real multi-proc hardware the rows should approach
+			// linear; on a 1-proc container they measure only
 			// oversubscription overhead (EXPERIMENTS.md, hardware-gated).
 			prev := runtime.GOMAXPROCS(0)
 			for _, procs := range []int{1, 2, 4} {
@@ -331,7 +330,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
-	runner := newPBFT().Runner
+	runner := newPBFT()
 	bigmac := space.New(map[string]int64{
 		plugin.DimMACMask:          int64(graycode.Decode(0xEEE)),
 		plugin.DimCorrectClients:   30,

@@ -43,7 +43,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bigmac:", err)
 		os.Exit(1)
 	}
-	runner := target.Runner
 
 	if *discover {
 		runDiscovery(target, *budget, *seed, *workers)
@@ -65,8 +64,8 @@ func main() {
 	fmt.Printf("attack: corrupt bit mask %#03x (coordinate %d in Gray code)\n", *mask, coord)
 	fmt.Printf("         bit n corrupts the (n mod 12)-th generateMAC call of the malicious client\n\n")
 
-	baseline := runner.Baseline(*clients)
-	res, rep := runner.RunReport(sc)
+	baseline := target.Baseline(*clients)
+	res, rep := target.RunReport(sc)
 	fmt.Printf("baseline throughput (no attack): %9.0f req/s\n", baseline)
 	fmt.Printf("throughput under attack:         %9.0f req/s\n", res.Throughput)
 	fmt.Printf("impact: %.3f   avg latency: %v   p99: %v\n",

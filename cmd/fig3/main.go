@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -44,20 +45,15 @@ func main() {
 	}
 	w := cluster.DefaultWorkload()
 	w.Measure = *measure
-	runner, err := cluster.NewRunner(w)
+	target, err := cluster.NewTarget(w, plugin.NewMACCorrupt(), plugin.NewClients())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fig3:", err)
 		os.Exit(1)
 	}
-	space, err := core.Space(plugin.NewMACCorrupt(), plugin.NewClients())
+	space, err := core.Space(target.Plugins()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fig3:", err)
 		os.Exit(1)
-	}
-
-	// Pre-warm baselines so parallel workers do not duplicate them.
-	for _, cc := range clientCounts {
-		runner.Baseline(cc)
 	}
 
 	var scs []scenario.Scenario
@@ -75,7 +71,17 @@ func main() {
 	fmt.Printf("exhaustively exploring %d scenarios (%d mask coords x %d client counts) on %d workers\n",
 		len(scs), coords, len(clientCounts), *workers)
 	start := time.Now()
-	results := core.Sweep(scs, runner, *workers, "exhaustive")
+	eng, err := core.NewEngine(target, core.WithExplorer(core.NewExhaustiveExplorerOf(scs)),
+		core.WithBudget(len(scs)), core.WithWorkers(*workers))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fig3:", err)
+		os.Exit(1)
+	}
+	results, err := eng.RunAll(context.Background())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fig3:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("swept in %v (wall)\n\n", time.Since(start).Round(time.Second))
 
 	cells := make([]trace.HeatCell, len(results))

@@ -65,7 +65,7 @@ func main() {
 		w.Correct.RetryCap = 2 * time.Second
 		w.Malicious.Retry = 500 * time.Millisecond
 		w.Malicious.RetryCap = 2 * time.Second
-		runner, err := cluster.NewRunner(w)
+		runner, err := cluster.NewTarget(w)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "slowprimary:", err)
 			os.Exit(1)

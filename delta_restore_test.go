@@ -27,7 +27,7 @@ import (
 // every cycle against a cold reference from a fresh runner.
 func TestDeltaRestoreInterleavedPBFT(t *testing.T) {
 	w := pbftForkWorkload()
-	forked, err := cluster.NewRunner(w)
+	forked, err := cluster.NewTarget(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestDeltaRestoreInterleavedPBFT(t *testing.T) {
 	}
 	refs := make([]ref, len(scenarios))
 	for i, sc := range scenarios {
-		cold, err := cluster.NewRunner(w)
+		cold, err := cluster.NewTarget(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestDeltaRestoreInterleavedRaft(t *testing.T) {
 	w := raftsim.DefaultWorkload()
 	w.Warmup = 300 * time.Millisecond
 	w.Measure = 600 * time.Millisecond
-	forked, err := raftsim.NewRunner(w)
+	forked, err := raftsim.NewTarget(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestDeltaRestoreInterleavedRaft(t *testing.T) {
 	}
 	refs := make([]ref, len(scenarios))
 	for i, sc := range scenarios {
-		cold, err := raftsim.NewRunner(w)
+		cold, err := raftsim.NewTarget(w)
 		if err != nil {
 			t.Fatal(err)
 		}

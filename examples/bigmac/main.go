@@ -31,7 +31,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	runner := target.Runner
 	space, err := avd.SpaceOf(target.Plugins()...)
 	if err != nil {
 		log.Fatal(err)
@@ -68,7 +67,7 @@ func main() {
 			avd.DimCorrectClients:   30,
 			avd.DimMaliciousClients: 1,
 		})
-		res := runner.Run(sc)
+		res := target.Run(sc)
 		fmt.Printf("%-40s %10.0f %9.3f %8d %s\n",
 			fmt.Sprintf("%s (%#03x)", a.name, a.mask), res.Throughput, res.Impact, res.CrashedReplicas, a.why)
 	}

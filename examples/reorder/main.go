@@ -25,7 +25,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	runner := target.Runner
 	space, err := avd.SpaceOf(target.Plugins()...)
 	if err != nil {
 		log.Fatal(err)
@@ -44,7 +43,7 @@ func main() {
 			avd.DimReorderPct:       cfg.pct,
 			avd.DimReorderDelayMS:   cfg.delayMS,
 		})
-		res := runner.Run(sc)
+		res := target.Run(sc)
 		fmt.Printf("%3d%% delayed up to %2dms      %12.0f %12v %10.3f\n",
 			cfg.pct, cfg.delayMS, res.Throughput, res.AvgLatency.Round(time.Millisecond), res.Impact)
 	}

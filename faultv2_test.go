@@ -57,7 +57,7 @@ func raftFaultV2Space(t *testing.T) *scenario.Space {
 // majorities for the same term.
 func TestCrashRestartStateLossBreaksElectionSafety(t *testing.T) {
 	space := raftFaultV2Space(t)
-	r, err := raftsim.NewRunner(raftsim.DefaultWorkload())
+	r, err := raftsim.NewTarget(raftsim.DefaultWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestCrashRestartStateLossBreaksElectionSafety(t *testing.T) {
 		plugin.DimCrashDownMS:     25,
 		plugin.DimCrashLose:       1,
 	})
-	res, rep := r.RunForkReport(lossy)
+	res, rep, _ := r.RunTracedFork(lossy)
 	if !oracle.Violated(res.Violations, "raft/election-safety") {
 		t.Fatalf("state-losing crash-restart schedule did not break election safety: violations=%v report=%+v",
 			oracle.Names(res.Violations), rep)
@@ -85,7 +85,7 @@ func TestCrashRestartStateLossBreaksElectionSafety(t *testing.T) {
 	// follower remembers its vote, and the invariant holds. The state
 	// loss — not the crash — is the vulnerability.
 	durable := lossy.With(plugin.DimCrashLose, 0)
-	dres, drep := r.RunForkReport(durable)
+	dres, drep, _ := r.RunTracedFork(durable)
 	if oracle.Violated(dres.Violations, "raft/election-safety") {
 		t.Fatalf("durable crash-restart broke election safety: violations=%v", oracle.Names(dres.Violations))
 	}
@@ -114,7 +114,7 @@ func TestCrashRestartStateLossBreaksElectionSafety(t *testing.T) {
 			raftsim.DimFlapIntervalMS: p[0],
 			raftsim.DimFlapDownMS:     p[1],
 		})
-		fres, _ := r.RunForkReport(sc)
+		fres := r.RunFork(sc)
 		if oracle.Violated(fres.Violations, "raft/election-safety") {
 			t.Fatalf("old-vocabulary flap scenario %s also breaks election safety; the crash fault adds nothing",
 				sc.Key())
@@ -130,7 +130,7 @@ func TestForkedEqualsColdFaultV2Raft(t *testing.T) {
 	w := raftsim.DefaultWorkload()
 	w.Warmup = 300 * time.Millisecond
 	w.Measure = 800 * time.Millisecond
-	r, err := raftsim.NewRunner(w)
+	r, err := raftsim.NewTarget(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRunawayScenarioDegradesToHung(t *testing.T) {
 	w.Warmup = 300 * time.Millisecond
 	w.Measure = 800 * time.Millisecond
 	w.StepBudget = 400_000
-	r, err := raftsim.NewRunner(w)
+	r, err := raftsim.NewTarget(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestRunawayScenarioDegradesToHung(t *testing.T) {
 // target, whose crash-restart path exercises the replica persistence
 // seam (durable agreement log vs volatile protocol bookkeeping).
 func TestForkedEqualsColdFaultV2PBFT(t *testing.T) {
-	r, err := cluster.NewRunner(pbftForkWorkload())
+	r, err := cluster.NewTarget(pbftForkWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}

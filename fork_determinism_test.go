@@ -85,7 +85,7 @@ func assertSameRun(t *testing.T, label string, coldRes, forkRes core.Result, col
 // TestForkedEqualsColdPBFT: forked == cold for the PBFT target across
 // every fault tool, with each master forked repeatedly.
 func TestForkedEqualsColdPBFT(t *testing.T) {
-	r, err := cluster.NewRunner(pbftForkWorkload())
+	r, err := cluster.NewTarget(pbftForkWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestForkedEqualsColdPBFTOracleVerdicts(t *testing.T) {
 	w := pbftForkWorkload()
 	w.PBFT.QuorumBug = true
 	w.Equivocate = true
-	r, err := cluster.NewRunner(w)
+	r, err := cluster.NewTarget(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestForkedEqualsColdRaft(t *testing.T) {
 	w := raftsim.DefaultWorkload()
 	w.Warmup = 300 * time.Millisecond
 	w.Measure = 800 * time.Millisecond
-	r, err := raftsim.NewRunner(w)
+	r, err := raftsim.NewTarget(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestForkedEqualsColdRaft(t *testing.T) {
 // corpus must make the same admission decisions whether the engine
 // forked the run or ran it cold.
 func TestForkedCoverageDigests(t *testing.T) {
-	pr, err := cluster.NewRunner(pbftForkWorkload())
+	pr, err := cluster.NewTarget(pbftForkWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestForkedCoverageDigests(t *testing.T) {
 	w := raftsim.DefaultWorkload()
 	w.Warmup = 300 * time.Millisecond
 	w.Measure = 800 * time.Millisecond
-	rr, err := raftsim.NewRunner(w)
+	rr, err := raftsim.NewTarget(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,21 +212,23 @@ func TestForkedCoverageDigests(t *testing.T) {
 	}
 }
 
-// TestWorkerForkEqualsFork: the contention-free per-worker-arena path
-// (core.WorkerSnapshotter, ISSUE 10) is bit-for-bit the pooled fork path
-// on both targets, for every worker slot — including the baseline
-// throughput the impact score folds in.
+// TestWorkerForkEqualsFork: the per-slot arena fork path is bit-for-bit
+// the cold run on both targets, for every worker slot — including the
+// baseline throughput the impact score folds in — and RunFork is slot 0.
 func TestWorkerForkEqualsFork(t *testing.T) {
-	pr, err := cluster.NewRunner(pbftForkWorkload())
+	pr, err := cluster.NewTarget(pbftForkWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sc := range pbftForkScenarios(t) {
-		want := pr.RunFork(sc)
+		want := pr.Run(sc)
+		if got := pr.RunFork(sc); !reflect.DeepEqual(want, got) {
+			t.Errorf("pbft %s: RunFork differs from cold:\ncold: %+v\nfork: %+v", sc.Key(), want, got)
+		}
 		for worker := 0; worker < 3; worker++ {
 			got := pr.RunForkWorker(sc, worker)
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("pbft %s worker %d: arena-forked Result differs from pooled fork:\npool:  %+v\narena: %+v", sc.Key(), worker, want, got)
+				t.Errorf("pbft %s worker %d: arena-forked Result differs from cold:\ncold:  %+v\narena: %+v", sc.Key(), worker, want, got)
 			}
 			// A second run on the same slot reuses the retained master.
 			if again := pr.RunForkWorker(sc, worker); !reflect.DeepEqual(want, again) {
@@ -238,7 +240,7 @@ func TestWorkerForkEqualsFork(t *testing.T) {
 	w := raftsim.DefaultWorkload()
 	w.Warmup = 300 * time.Millisecond
 	w.Measure = 800 * time.Millisecond
-	rr, err := raftsim.NewRunner(w)
+	rr, err := raftsim.NewTarget(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,41 +251,36 @@ func TestWorkerForkEqualsFork(t *testing.T) {
 	sc := space.New(map[string]int64{
 		raftsim.DimClients: 10, raftsim.DimFlapIntervalMS: 100, raftsim.DimFlapDownMS: 200,
 	})
-	want := rr.RunFork(sc)
+	want := rr.Run(sc)
 	for worker := 0; worker < 3; worker++ {
 		if got := rr.RunForkWorker(sc, worker); !reflect.DeepEqual(want, got) {
-			t.Errorf("raft worker %d: arena-forked Result differs from pooled fork:\npool:  %+v\narena: %+v", worker, want, got)
+			t.Errorf("raft worker %d: arena-forked Result differs from cold:\ncold:  %+v\narena: %+v", worker, want, got)
 		}
 	}
 }
 
-// pooledForkTarget hides RunForkWorker from the engine, forcing the
-// shared-ForkCache fork path: the reference the arena path must match.
-type pooledForkTarget struct{ core.Target }
-
-func (p pooledForkTarget) RunFork(sc scenario.Scenario) core.Result {
-	return p.Target.(core.Snapshotter).RunFork(sc)
-}
+// coldTarget hides the fork capabilities from the engine, so every test
+// runs cold: the reference the fork path must match.
+type coldTarget struct{ core.Target }
 
 // TestWorkerForkCampaignDeterminism: for a fixed (seed, workers) pair, a
-// parallel engine routing live tests through the per-worker arenas
-// (core.WorkerSnapshotter) produces bit-for-bit the results of the same
-// campaign over the shared checkout pool, and repeated arena campaigns
-// reproduce themselves exactly. (Campaign determinism is per
-// (seed, workers) — different worker counts legitimately explore
-// different proposals, so the pooled/arena comparison holds the pair
-// fixed.)
+// parallel engine routing live tests through the per-slot arenas
+// produces bit-for-bit the results of the same campaign run cold, and
+// repeated arena campaigns reproduce themselves exactly. (Campaign
+// determinism is per (seed, workers) — different worker counts
+// legitimately explore different proposals, so the comparison holds the
+// pair fixed.)
 func TestWorkerForkCampaignDeterminism(t *testing.T) {
 	const workers = 4
-	run := func(pooled bool) []core.Result {
+	run := func(cold bool) []core.Result {
 		var target core.Target
 		var err error
 		target, err = cluster.NewTarget(pbftForkWorkload())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pooled {
-			target = pooledForkTarget{target}
+		if cold {
+			target = coldTarget{target}
 		}
 		eng, err := core.NewEngine(target, core.WithSeed(7), core.WithBudget(12), core.WithWorkers(workers))
 		if err != nil {
@@ -295,15 +292,15 @@ func TestWorkerForkCampaignDeterminism(t *testing.T) {
 		}
 		return results
 	}
-	want := run(true) // shared-pool reference
+	want := run(true) // cold reference
 	for rep := 0; rep < 2; rep++ {
-		got := run(false) // per-worker arenas
+		got := run(false) // per-slot arenas
 		if len(got) != len(want) {
 			t.Fatalf("arena run %d: %d results, want %d", rep, len(got), len(want))
 		}
 		for i := range want {
 			if !reflect.DeepEqual(want[i], got[i]) {
-				t.Errorf("arena run %d: result %d differs from pooled campaign:\npool:  %+v\narena: %+v", rep, i, want[i], got[i])
+				t.Errorf("arena run %d: result %d differs from the cold campaign:\ncold:  %+v\narena: %+v", rep, i, want[i], got[i])
 			}
 		}
 	}
@@ -313,7 +310,7 @@ func TestWorkerForkCampaignDeterminism(t *testing.T) {
 // and different scenarios produce exactly the serial results (run under
 // -race this doubles as the fork race test).
 func TestConcurrentForksAreDeterministic(t *testing.T) {
-	r, err := cluster.NewRunner(pbftForkWorkload())
+	r, err := cluster.NewTarget(pbftForkWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"avd/internal/core"
 	"avd/internal/plugin"
 	"avd/internal/scenario"
 )
@@ -16,64 +17,75 @@ func baselineScenario(t *testing.T, correct int64) scenario.Scenario {
 	}).New(nil)
 }
 
-// TestBaselineForkedEqualsCold pins the warm-fork baseline contract
-// (ISSUE 10): an attack-free baseline forked from the (count, 0) master
-// must be bit-for-bit the cold-built baseline — same throughput, same
-// latency, same report — exactly as attack tests enforce forked==cold.
+// coldBaseline measures an attack-free baseline on a freshly built and
+// warmed deployment, nothing armed.
+func coldBaseline(w Workload, correct int64, window time.Duration) (core.Result, Report) {
+	sc := scenario.MustNewSpace(scenario.Dimension{
+		Name: plugin.DimCorrectClients, Min: correct, Max: correct, Step: 1,
+	}).New(nil)
+	d := newDeployment(w, correct, 1)
+	d.eng.RunFor(w.Warmup)
+	d.Arm(sc, false)
+	return d.Measure(sc, window)
+}
+
+// TestBaselineForkedEqualsCold pins the warm-fork baseline contract: an
+// attack-free baseline forked from the (count, 1) master must be
+// bit-for-bit the cold-built baseline — same throughput, same latency,
+// same report — exactly as attack tests enforce forked==cold. The
+// target's own baseline, measured on a slot master an attack run
+// already forked, agrees too.
 func TestBaselineForkedEqualsCold(t *testing.T) {
 	w := DefaultWorkload()
 	w.Warmup = 200 * time.Millisecond
 	w.Measure = 600 * time.Millisecond
-	for _, correct := range []int64{10, 25} {
-		// Separate runners: the forked path must not see state the cold
-		// path built, and vice versa.
-		cold, err := NewRunner(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		forked, err := NewRunner(w)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, correct := range []int64{10, 30} {
+		coldRes, coldRep := coldBaseline(w, correct, w.Measure)
 		sc := baselineScenario(t, correct)
-		coldRes, coldRep := cold.execute(sc, correct, false)
-		forkRes, forkRep := forked.executeFork(sc, correct, false)
-		if !reflect.DeepEqual(coldRes, forkRes) {
-			t.Errorf("correct=%d: forked baseline Result differs from cold:\ncold: %+v\nfork: %+v", correct, coldRes, forkRes)
+		master := newDeployment(w, correct, 1)
+		master.eng.RunFor(w.Warmup)
+		// The first fork captures the snapshot, the second restores it.
+		for fork := 0; fork < 2; fork++ {
+			master.Fork()
+			master.Arm(sc, false)
+			forkRes, forkRep := master.Measure(sc, w.Measure)
+			if !reflect.DeepEqual(coldRes, forkRes) {
+				t.Errorf("correct=%d fork %d: forked baseline Result differs from cold:\ncold: %+v\nfork: %+v", correct, fork, coldRes, forkRes)
+			}
+			if !reflect.DeepEqual(coldRep, forkRep) {
+				t.Errorf("correct=%d fork %d: forked baseline Report differs from cold:\ncold: %+v\nfork: %+v", correct, fork, coldRep, forkRep)
+			}
 		}
-		if !reflect.DeepEqual(coldRep, forkRep) {
-			t.Errorf("correct=%d: forked baseline Report differs from cold:\ncold: %+v\nfork: %+v", correct, coldRep, forkRep)
+		target, err := NewTarget(w)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// A second fork from the now-captured master must reproduce the
-		// first (snapshot reuse).
-		againRes, againRep := forked.executeFork(sc, correct, false)
-		if !reflect.DeepEqual(forkRes, againRes) || !reflect.DeepEqual(forkRep, againRep) {
-			t.Errorf("correct=%d: re-forked baseline diverged from first fork", correct)
+		attack := paperSpace(t).New(map[string]int64{
+			plugin.DimMACMask:          0xEEE,
+			plugin.DimCorrectClients:   correct,
+			plugin.DimMaliciousClients: 1,
+		})
+		if res := target.RunFork(attack); res.BaselineThroughput != coldRes.Throughput {
+			t.Errorf("correct=%d: target baseline %v, cold %v", correct, res.BaselineThroughput, coldRes.Throughput)
 		}
 	}
 }
 
 // TestBaselineWindowForkedEqualsCold: with a shortened BaselineMeasure
-// the cold and forked baseline paths still agree bit-for-bit — both must
-// measure over the same (baseline) window.
+// the target's forked baseline still equals the cold baseline over the
+// same (baseline) window.
 func TestBaselineWindowForkedEqualsCold(t *testing.T) {
 	w := DefaultWorkload()
 	w.Warmup = 200 * time.Millisecond
 	w.Measure = 600 * time.Millisecond
 	w.BaselineMeasure = 250 * time.Millisecond
-	cold, err := NewRunner(w)
+	target, err := NewTarget(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forked, err := NewRunner(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := baselineScenario(t, 15)
-	coldRes, _ := cold.execute(sc, 15, false)
-	forkRes, _ := forked.executeFork(sc, 15, false)
-	if !reflect.DeepEqual(coldRes, forkRes) {
-		t.Errorf("forked baseline under BaselineMeasure differs from cold:\ncold: %+v\nfork: %+v", coldRes, forkRes)
+	coldRes, _ := coldBaseline(w, 15, w.BaselineMeasure)
+	if got := target.Baseline(15); got != coldRes.Throughput {
+		t.Errorf("forked baseline under BaselineMeasure %v differs from cold %v", got, coldRes.Throughput)
 	}
 }
 
@@ -81,16 +93,19 @@ func TestBaselineWindowForkedEqualsCold(t *testing.T) {
 // configuration error, and zero preserves the full Measure window.
 func TestBaselineMeasureValidation(t *testing.T) {
 	w := DefaultWorkload()
+	w.Warmup = 200 * time.Millisecond
+	w.Measure = 600 * time.Millisecond
 	w.BaselineMeasure = -time.Second
-	if _, err := NewRunner(w); err == nil {
+	if _, err := NewTarget(w); err == nil {
 		t.Error("negative BaselineMeasure accepted")
 	}
 	w.BaselineMeasure = 0
-	if got := w.baselineWindow(); got != w.Measure {
-		t.Errorf("zero BaselineMeasure: window %v, want Measure %v", got, w.Measure)
+	target, err := NewTarget(w)
+	if err != nil {
+		t.Fatal(err)
 	}
-	w.BaselineMeasure = 300 * time.Millisecond
-	if got := w.baselineWindow(); got != 300*time.Millisecond {
-		t.Errorf("BaselineMeasure window %v, want 300ms", got)
+	coldRes, _ := coldBaseline(w, 10, w.Measure)
+	if got := target.Baseline(10); got != coldRes.Throughput {
+		t.Errorf("zero BaselineMeasure: baseline %v, want the Measure-window %v", got, coldRes.Throughput)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -19,11 +20,11 @@ func fastWorkload() Workload {
 	return w
 }
 
-func newRunner(t *testing.T, w Workload) *Runner {
+func newRunner(t *testing.T, w Workload) *Target {
 	t.Helper()
-	r, err := NewRunner(w)
+	r, err := NewTarget(w)
 	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
+		t.Fatalf("NewTarget: %v", err)
 	}
 	return r
 }
@@ -40,17 +41,17 @@ func paperSpace(t *testing.T) *scenario.Space {
 func TestNewRunnerValidates(t *testing.T) {
 	w := DefaultWorkload()
 	w.Measure = 0
-	if _, err := NewRunner(w); err == nil {
+	if _, err := NewTarget(w); err == nil {
 		t.Error("zero measurement window accepted")
 	}
 	w = DefaultWorkload()
 	w.MaskBits = 40
-	if _, err := NewRunner(w); err == nil {
+	if _, err := NewTarget(w); err == nil {
 		t.Error("mask bits out of range accepted")
 	}
 	w = DefaultWorkload()
 	w.PBFT.N = 7
-	if _, err := NewRunner(w); err == nil {
+	if _, err := NewTarget(w); err == nil {
 		t.Error("invalid PBFT config accepted")
 	}
 }
@@ -290,7 +291,8 @@ func TestRunnerDeterministic(t *testing.T) {
 }
 
 func TestParallelSweepSafe(t *testing.T) {
-	// Exercises the runner's baseline cache under concurrency (-race).
+	// Exercises the target's slots and baseline cache under a parallel
+	// exhaustive campaign (-race).
 	r := newRunner(t, fastWorkload())
 	space := paperSpace(t)
 	var scs []scenario.Scenario
@@ -303,7 +305,15 @@ func TestParallelSweepSafe(t *testing.T) {
 			}))
 		}
 	}
-	results := core.Sweep(scs, r, 8, "exhaustive")
+	eng, err := core.NewEngine(r, core.WithExplorer(core.NewExhaustiveExplorerOf(scs)),
+		core.WithBudget(len(scs)), core.WithWorkers(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := eng.RunAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != len(scs) {
 		t.Fatalf("sweep returned %d results for %d scenarios", len(results), len(scs))
 	}

@@ -22,9 +22,9 @@ import (
 // corruption plans, Byzantine behaviors, interceptors) arms at
 // measurement start, which is what lets one warm deployment serve many
 // tests — the warmup prefix is shared, scenarios only diverge once
-// fault injection begins (DESIGN.md §8). A deployment is single-run at a
-// time and not safe for concurrent use; the Runner's master cache hands
-// each worker its own.
+// fault injection begins (DESIGN.md §8). It is the PBFT core.Deployment:
+// single-run at a time and not safe for concurrent use; the harness
+// gives each worker slot its own.
 type deployment struct {
 	w         Workload
 	eng       *sim.Engine
@@ -38,12 +38,9 @@ type deployment struct {
 	clients   []*pbft.Client
 	malicious []*pbft.Client
 
-	// Measurement plumbing: completions count only inside the window.
-	measuring bool
-	completed uint64
-	latSum    time.Duration
-	latN      uint64
-	latTail   []time.Duration
+	// win counts correct-client completions inside the measurement
+	// window.
+	win metrics.Window
 
 	// snap is the post-warmup capture forks restore from (nil until the
 	// first forked run).
@@ -61,10 +58,11 @@ type deploymentSnapshot struct {
 	malicious []*pbft.ClientState
 }
 
+var _ core.Deployment[Report] = (*deployment)(nil)
+
 // newDeployment builds and starts a fault-neutral deployment with the
 // given client population. The caller runs the warmup.
-func (r *Runner) newDeployment(correctClients, nMalicious int64) *deployment {
-	w := r.w
+func newDeployment(w Workload, correctClients, nMalicious int64) *deployment {
 	// The coverage checker is part of the base oracle set: it is
 	// Rewindable, so snapshot/fork execution rolls its timeline fold back
 	// with the invariant checkers and forked digests equal cold ones.
@@ -121,7 +119,7 @@ func (r *Runner) newDeployment(correctClients, nMalicious int64) *deployment {
 		d.replicas = append(d.replicas, rep)
 	}
 
-	onComplete := d.onComplete
+	onComplete := d.win.Complete
 
 	// Correct clients.
 	nextAddr := simnet.Addr(w.PBFT.N)
@@ -159,15 +157,14 @@ func (r *Runner) newDeployment(correctClients, nMalicious int64) *deployment {
 	return d
 }
 
-// onComplete observes one correct-client completion.
-func (d *deployment) onComplete(seq uint64, latency time.Duration) {
-	if !d.measuring {
-		return
+// Fork implements core.Deployment: the first call captures the
+// post-warmup snapshot, later calls restore it.
+func (d *deployment) Fork() {
+	if d.snap == nil {
+		d.capture()
+	} else {
+		d.restore()
 	}
-	d.completed++
-	d.latSum += latency
-	d.latN++
-	d.latTail = append(d.latTail, latency)
 }
 
 // capture takes the post-warmup snapshot forks restore from.
@@ -211,15 +208,13 @@ func (d *deployment) restore() {
 		m.SetBroadcast(false)
 	}
 	*d.byz = pbft.ByzantineBehavior{}
-	d.measuring = false
-	d.completed = 0
-	d.latSum, d.latN = 0, 0
+	d.win.Reset()
 }
 
-// arm activates the scenario's faults and per-run checkers. It runs at
-// measurement start on the cold path and the forked path alike, so both
-// execute the identical post-warmup event sequence.
-func (d *deployment) arm(sc scenario.Scenario, withFaults bool, extra ...oracle.Checker) {
+// Arm implements core.Deployment: it activates the scenario's faults and
+// per-run checkers at measurement start, on the cold path and the forked
+// path alike, so both execute the identical post-warmup event sequence.
+func (d *deployment) Arm(sc scenario.Scenario, withFaults bool, extra ...oracle.Checker) {
 	d.oracles.Attach(extra...)
 	if !withFaults {
 		return
@@ -414,13 +409,10 @@ func corruptPayload(from, to simnet.Addr, payload any) any {
 	return nil
 }
 
-// measure runs the given measurement window and collects the scenario
-// outcome. Attack runs pass Workload.Measure; attack-free baselines may
-// pass the shorter Workload.baselineWindow.
-func (d *deployment) measure(sc scenario.Scenario, window time.Duration) (core.Result, Report) {
-	d.latTail = d.latTail[:0]
-
-	d.measuring = true
+// Measure implements core.Deployment: it runs the measurement window and
+// collects the scenario outcome.
+func (d *deployment) Measure(sc scenario.Scenario, window time.Duration) (core.Result, Report) {
+	d.win.Begin()
 	if d.w.StepBudget > 0 {
 		d.eng.SetStepBudget(d.w.StepBudget)
 	}
@@ -429,29 +421,21 @@ func (d *deployment) measure(sc scenario.Scenario, window time.Duration) (core.R
 	if d.w.StepBudget > 0 {
 		d.eng.SetStepBudget(0)
 	}
-	d.measuring = false
+	d.win.End()
 
 	// Censored latency: a request still stuck at window end (e.g. the
-	// whole system crashed) contributes its elapsed wait, so that total
-	// collapse shows up as high average latency rather than as a rosy
-	// average over the few requests that did complete.
+	// whole system crashed) contributes its elapsed wait.
 	end := d.eng.Now()
 	for _, c := range d.clients {
 		if sentAt, ok := c.Outstanding(); ok {
-			if waited := end.Sub(sentAt); waited > 0 {
-				d.latSum += waited
-				d.latN++
-				d.latTail = append(d.latTail, waited)
-			}
+			d.win.Censor(end.Sub(sentAt))
 		}
 	}
 
 	res := core.Result{Scenario: sc}
-	res.Throughput = float64(d.completed) / window.Seconds()
-	if d.latN > 0 {
-		res.AvgLatency = d.latSum / time.Duration(d.latN)
-	}
-	rep := Report{CorrectCompleted: d.completed}
+	res.Throughput = float64(d.win.Completed()) / window.Seconds()
+	res.AvgLatency = d.win.AvgLatency()
+	rep := Report{CorrectCompleted: d.win.Completed()}
 	for _, c := range d.clients {
 		rep.Retransmissions += c.Stats().Retransmissions
 	}
@@ -481,7 +465,7 @@ func (d *deployment) measure(sc scenario.Scenario, window time.Duration) (core.R
 		res.Hung = true
 		res.Error = fmt.Sprintf("cluster: scenario exceeded the %d-event step budget (runaway event storm)", d.w.StepBudget)
 	}
-	rep.P99Latency = metrics.PercentileInPlace(d.latTail, 99)
+	rep.P99Latency = d.win.P99()
 	res.Coverage = d.cov.Digest()
 	res.Violations = d.oracles.Finish()
 	return res, rep

@@ -2,23 +2,26 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"avd/internal/core"
 	"avd/internal/plugin"
 )
 
-// Target adapts the PBFT deployment harness to the protocol-agnostic
-// core.Target seam: the embedded Runner executes scenarios, Name
-// identifies the system under test, and Plugins declares the
+// Target is the PBFT system under test: the shared core.Harness over PBFT
+// deployments, so it executes scenarios cold or forked, caches
+// attack-free baselines per correct-client count, and declares the
 // fault-injection hooks an Engine explores by default (the paper's
-// MAC-corruption and deployment-shape tools).
+// MAC-corruption and deployment-shape tools). Target is safe for
+// concurrent use.
 type Target struct {
-	*Runner
-	plugins []core.Plugin
+	*core.Harness[masterKey, *deployment, Report]
+	w Workload
 }
 
-var _ core.Target = (*Target)(nil)
+var (
+	_ core.Target            = (*Target)(nil)
+	_ core.WorkerSnapshotter = (*Target)(nil)
+)
 
 // NewTarget builds the PBFT system under test for a workload. With no
 // explicit plugins it exposes the paper's PBFT hyperspace — the 12-bit
@@ -26,33 +29,36 @@ var _ core.Target = (*Target)(nil)
 // dimensions; pass plugins to widen or narrow the attack surface (e.g.
 // adding Reorder or SlowPrimary).
 func NewTarget(w Workload, plugins ...core.Plugin) (*Target, error) {
-	r, err := NewRunner(w)
-	if err != nil {
+	if err := w.PBFT.Validate(); err != nil {
 		return nil, err
+	}
+	if w.MaskBits == 0 || w.MaskBits > 32 {
+		return nil, fmt.Errorf("cluster: mask bits %d out of range [1,32]", w.MaskBits)
 	}
 	if len(plugins) == 0 {
 		plugins = []core.Plugin{plugin.NewMACCorrupt(), plugin.NewClients()}
 	}
-	return &Target{Runner: r, plugins: plugins}, nil
+	h, err := core.NewHarness[masterKey, *deployment, Report](core.HarnessSpec[masterKey, *deployment]{
+		Name:          "pbft",
+		Config:        w,
+		Plugins:       plugins,
+		PopulationDim: plugin.DimCorrectClients,
+		Key:           keyOf,
+		Build: func(k masterKey) *deployment {
+			d := newDeployment(w, k.correct, k.malicious)
+			d.eng.RunFor(w.Warmup)
+			return d
+		},
+		Measure:             w.Measure,
+		BaselineMeasure:     w.BaselineMeasure,
+		LatencyRef:          w.LatencyRef,
+		ReferenceThroughput: w.ReferenceThroughput,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Target{Harness: h, w: w}, nil
 }
 
-// Name implements core.Target.
-func (t *Target) Name() string { return "pbft" }
-
-// Plugins implements core.Target.
-func (t *Target) Plugins() []core.Plugin {
-	cp := make([]core.Plugin, len(t.plugins))
-	copy(cp, t.plugins)
-	return cp
-}
-
-// ConfigFingerprint implements core.ConfigFingerprinter: a durable
-// campaign records it in its manifest so a resume with a drifted
-// workload (different measure window, step budget, cluster shape) fails
-// fast instead of replaying a different system. Workload is a tree of
-// flat scalar structs, so its %+v rendering is deterministic.
-func (t *Target) ConfigFingerprint() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", t.Workload())
-	return fmt.Sprintf("%016x", h.Sum64())
-}
+// Workload returns the target's workload.
+func (t *Target) Workload() Workload { return t.w }

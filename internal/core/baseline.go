@@ -4,10 +4,9 @@ import "sync"
 
 // BaselineCache memoizes attack-free baseline measurements keyed by an
 // int64 deployment parameter (typically the correct-client count).
-// Impact is relative to these baselines, every target needs the same
-// caching discipline, and parallel engine workers hit the cache
-// concurrently — so the singleflight lives here, shared by
-// internal/cluster, internal/raftsim and any future Target.
+// Impact is relative to these baselines and parallel engine workers hit
+// the cache concurrently, so Harness measures each key exactly once
+// through it.
 //
 // The zero value is ready to use. BaselineCache is safe for concurrent
 // use.
@@ -29,26 +28,4 @@ func (c *BaselineCache) Get(key int64, measure func(key int64) float64) float64 
 	cell := v.(*baselineCell)
 	cell.once.Do(func() { cell.val = measure(key) })
 	return cell.val
-}
-
-// Warm measures the baselines of all distinct keys concurrently, so a
-// batch dispatched to parallel workers neither duplicates missing
-// baselines nor serializes behind one another (the core.Warmer
-// pattern).
-func (c *BaselineCache) Warm(keys []int64, measure func(key int64) float64) {
-	uniq := make(map[int64]bool, len(keys))
-	var wg sync.WaitGroup
-	for _, k := range keys {
-		if uniq[k] {
-			continue
-		}
-		uniq[k] = true
-		wg.Add(1)
-		//avdlint:allow baseline warmers fan out over distinct cache keys; each engine stays single-goroutine
-		go func(k int64) {
-			defer wg.Done()
-			c.Get(k, measure)
-		}(k)
-	}
-	wg.Wait()
 }

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"avd/internal/scenario"
 )
 
 // TestBaselineCacheSingleflight: one measurement per key, no matter how
@@ -47,25 +49,26 @@ func TestBaselineCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestBaselineCacheWarm: warming a batch measures each distinct key once
-// and later Gets are pure cache hits.
+// TestBaselineCacheWarm: warming a batch through the harness measures
+// each distinct population once, and later baselines are pure cache
+// hits.
 func TestBaselineCacheWarm(t *testing.T) {
-	var cache BaselineCache
-	var calls atomic.Int64
-	measure := func(key int64) float64 {
-		calls.Add(1)
-		return float64(key)
+	world := &fakeWorld{}
+	h := newFakeHarness(t, world)
+	h.Warm([]scenario.Scenario{
+		harnessScenario(t, 0, 1), harnessScenario(t, 1, 2), harnessScenario(t, 2, 2),
+		harnessScenario(t, 3, 3), harnessScenario(t, 4, 1),
+	})
+	if n := world.baselines.Load(); n != 3 {
+		t.Fatalf("warming 3 distinct populations measured %d times", n)
 	}
-	cache.Warm([]int64{1, 2, 2, 3, 1}, measure)
-	if n := calls.Load(); n != 3 {
-		t.Fatalf("warming 3 distinct keys measured %d times", n)
-	}
-	for _, k := range []int64{1, 2, 3} {
-		if got := cache.Get(k, measure); got != float64(k) {
-			t.Fatalf("Get(%d) = %f", k, got)
+	for _, p := range []int64{1, 2, 3} {
+		if got := h.Baseline(p); got != float64(100*p) {
+			t.Fatalf("Baseline(%d) = %f", p, got)
 		}
 	}
-	if n := calls.Load(); n != 3 {
-		t.Fatalf("post-warm Gets re-measured: %d calls", n)
+	h.Prepare(harnessScenario(t, 9, 3))
+	if n := world.baselines.Load(); n != 3 {
+		t.Fatalf("post-warm baselines re-measured: %d measurements", n)
 	}
 }

@@ -1,186 +1,8 @@
 package core
 
-import (
-	"runtime"
-	"sync"
-
-	"avd/internal/scenario"
-)
-
-// Campaign drives an explorer against a runner for a test budget,
-// mirroring the paper's worker loop: dequeue a scenario from Ψ,
-// instantiate it, execute the test, compute the impact, feed it back.
-// It returns the executed results in order.
-func Campaign(ex Explorer, runner Runner, budget int) []Result {
-	results := make([]Result, 0, budget)
-	for len(results) < budget {
-		sc, generator, ok := ex.Next()
-		if !ok {
-			break
-		}
-		res := runner.Run(sc)
-		res.Generator = generator
-		ex.Record(res)
-		results = append(results, res)
-	}
-	return results
-}
-
 // CampaignObserver is called after each executed test with the 1-based
 // iteration and its result.
 type CampaignObserver func(iteration int, res Result)
-
-// CampaignWithObserver is Campaign with a per-test callback (progress
-// reporting in the CLIs).
-func CampaignWithObserver(ex Explorer, runner Runner, budget int, obs CampaignObserver) []Result {
-	results := make([]Result, 0, budget)
-	for len(results) < budget {
-		sc, generator, ok := ex.Next()
-		if !ok {
-			break
-		}
-		res := runner.Run(sc)
-		res.Generator = generator
-		ex.Record(res)
-		results = append(results, res)
-		if obs != nil {
-			obs(len(results), res)
-		}
-	}
-	return results
-}
-
-// Warmer is an optional Runner refinement: before dispatching a batch of
-// scenarios to concurrent workers, ParallelCampaign offers the runner a
-// look at the batch so shared derived state (e.g. per-client-count
-// baseline measurements in cluster.Runner) can be computed once up front
-// instead of redundantly inside several workers.
-type Warmer interface {
-	Warm(batch []scenario.Scenario)
-}
-
-// ParallelCampaign is Campaign with a pool of workers draining the
-// pending-test queue Ψ, mirroring the paper's parallel testbed workers.
-//
-// The coordinator asks the explorer for a batch of up to workers
-// scenarios, executes the batch concurrently, then records the results
-// back into the explorer in dispatch order. Because generation and
-// feedback stay sequential and batch boundaries depend only on the
-// explorer's own proposal sequence, the campaign is bit-for-bit
-// deterministic for a fixed seed and worker count; workers=1 reproduces
-// Campaign exactly. The runner must be safe for concurrent use (the
-// scenarios of one batch execute simultaneously).
-//
-// Relative to Campaign, the explorer generates each batch without
-// feedback from the batch's own results — the standard synchronous
-// parallel-search tradeoff; impact trajectories for workers=N can differ
-// from the serial campaign but stay reproducible.
-//
-// A workers value <= 0 uses all CPUs.
-func ParallelCampaign(ex Explorer, runner Runner, budget, workers int) []Result {
-	return ParallelCampaignWithObserver(ex, runner, budget, workers, nil)
-}
-
-// ParallelCampaignWithObserver is ParallelCampaign with a per-test
-// callback, invoked in dispatch order from the coordinator goroutine.
-func ParallelCampaignWithObserver(ex Explorer, runner Runner, budget, workers int, obs CampaignObserver) []Result {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > budget {
-		workers = budget
-	}
-	if workers <= 1 {
-		return CampaignWithObserver(ex, runner, budget, obs)
-	}
-	warmer, _ := runner.(Warmer)
-	results := make([]Result, 0, budget)
-	batch := make([]scenario.Scenario, 0, workers)
-	generators := make([]string, 0, workers)
-	out := make([]Result, workers)
-	for len(results) < budget {
-		batch, generators = batch[:0], generators[:0]
-		for len(batch) < workers && len(results)+len(batch) < budget {
-			sc, generator, ok := ex.Next()
-			if !ok {
-				break
-			}
-			batch = append(batch, sc)
-			generators = append(generators, generator)
-		}
-		if len(batch) == 0 {
-			break
-		}
-		if warmer != nil {
-			warmer.Warm(batch)
-		}
-		var wg sync.WaitGroup
-		for i := range batch {
-			wg.Add(1)
-			//avdlint:allow campaign worker pool: tests are independent and each owns a private cluster
-			go func(i int) {
-				defer wg.Done()
-				out[i] = runner.Run(batch[i])
-			}(i)
-		}
-		wg.Wait()
-		for i := range batch {
-			res := out[i]
-			res.Generator = generators[i]
-			ex.Record(res)
-			results = append(results, res)
-			if obs != nil {
-				obs(len(results), res)
-			}
-		}
-	}
-	return results
-}
-
-// Sweep executes every scenario of a feedback-free workload in parallel
-// across workers goroutines (tests are independent; the paper
-// re-initializes the system per test). Results are returned in input
-// order, stamped with the caller's generator label (empty leaves the
-// Generator field unset) — a sweep launched on behalf of an exhaustive
-// explorer passes "exhaustive", one launched by any other strategy
-// passes its own label, so results and CSV output name the exploration
-// step that actually produced each scenario. A workers value <= 0 uses
-// all CPUs.
-func Sweep(scenarios []scenario.Scenario, runner Runner, workers int, generator string) []Result {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-	results := make([]Result, len(scenarios))
-	if workers <= 1 {
-		for i, sc := range scenarios {
-			results[i] = runner.Run(sc)
-			results[i].Generator = generator
-		}
-		return results
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//avdlint:allow campaign worker pool: tests are independent and each owns a private cluster
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = runner.Run(scenarios[i])
-				results[i].Generator = generator
-			}
-		}()
-	}
-	for i := range scenarios {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return results
-}
 
 // BestSoFar maps a result sequence to its running maximum impact — the
 // "evolution of the performance impact" curves of Figure 2.

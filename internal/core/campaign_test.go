@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -34,45 +35,66 @@ func campaignFingerprint(results []Result) []string {
 	return keys
 }
 
-// TestParallelCampaignOneWorkerMatchesCampaign is the determinism
-// contract: a single worker must reproduce the serial campaign
-// bit-for-bit, results AND explorer feedback sequence.
-func TestParallelCampaignOneWorkerMatchesCampaign(t *testing.T) {
-	mk := func() Explorer {
-		c, err := NewController(ControllerConfig{Seed: 42, SeedTests: 6}, twoDimPlugins()...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	serial := Campaign(mk(), pureRunner(), 80)
-	parallel := ParallelCampaign(mk(), pureRunner(), 80, 1)
-	if len(serial) != len(parallel) {
-		t.Fatalf("lengths differ: %d vs %d", len(serial), len(parallel))
-	}
-	a, b := campaignFingerprint(serial), campaignFingerprint(parallel)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("workers=1 diverged from Campaign at %d: %s vs %s", i, a[i], b[i])
-		}
-	}
-	for i := range serial {
-		if serial[i].Impact != parallel[i].Impact {
-			t.Fatalf("impact diverged at %d", i)
-		}
-	}
+// campaign runs ex against runner for budget tests on a serial Engine.
+func campaign(t testing.TB, ex Explorer, runner Runner, budget int) []Result {
+	t.Helper()
+	return engineCampaign(t, ex, runner, budget, 1, nil)
 }
 
-// TestParallelCampaignDeterministicAcrossRuns: a fixed (seed, workers)
+// engineCampaign runs ex against runner on an Engine with the given
+// workers and observer.
+func engineCampaign(t testing.TB, ex Explorer, runner Runner, budget, workers int, obs CampaignObserver) []Result {
+	t.Helper()
+	eng, err := NewEngine(fakeTarget{Runner: runner}, WithExplorer(ex), WithBudget(budget),
+		WithWorkers(workers), WithObserver(obs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := eng.RunAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
+// referenceCampaign is the schedule an Engine with the given workers
+// must reproduce, written out serially over cold Run: each batch takes
+// up to workers proposals, runs them, and records the results in
+// dispatch order. With workers=1 it is the paper's worker loop.
+func referenceCampaign(ex Explorer, runner Runner, budget, workers int) []Result {
+	var results []Result
+	for len(results) < budget {
+		var batch []Result
+		for len(batch) < workers && len(results)+len(batch) < budget {
+			sc, generator, ok := ex.Next()
+			if !ok {
+				break
+			}
+			res := runner.Run(sc)
+			res.Generator = generator
+			batch = append(batch, res)
+		}
+		if len(batch) == 0 {
+			break
+		}
+		for _, res := range batch {
+			ex.Record(res)
+		}
+		results = append(results, batch...)
+	}
+	return results
+}
+
+// TestEngineParallelDeterministicAcrossRuns: a fixed (seed, workers)
 // pair must reproduce itself exactly, however goroutines interleave.
-func TestParallelCampaignDeterministicAcrossRuns(t *testing.T) {
+func TestEngineParallelDeterministicAcrossRuns(t *testing.T) {
 	for _, workers := range []int{2, 4, runtime.NumCPU()} {
 		run := func() []string {
 			c, err := NewController(ControllerConfig{Seed: 7, SeedTests: 6}, twoDimPlugins()...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return campaignFingerprint(ParallelCampaign(c, pureRunner(), 60, workers))
+			return campaignFingerprint(engineCampaign(t, c, pureRunner(), 60, workers, nil))
 		}
 		a, b := run(), run()
 		for i := range a {
@@ -83,24 +105,24 @@ func TestParallelCampaignDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestParallelCampaignRespectsBudget(t *testing.T) {
+func TestEngineParallelRespectsBudget(t *testing.T) {
 	c, err := NewController(ControllerConfig{Seed: 3, SeedTests: 4}, twoDimPlugins()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := ParallelCampaign(c, pureRunner(), 37, 8)
+	results := engineCampaign(t, c, pureRunner(), 37, 8, nil)
 	if len(results) != 37 {
 		t.Fatalf("campaign ran %d tests, budget 37", len(results))
 	}
 }
 
-func TestParallelCampaignObserverInDispatchOrder(t *testing.T) {
+func TestEngineParallelObserverInDispatchOrder(t *testing.T) {
 	c, err := NewController(ControllerConfig{Seed: 5, SeedTests: 4}, twoDimPlugins()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var iters []int
-	results := ParallelCampaignWithObserver(c, pureRunner(), 20, 4, func(i int, _ Result) {
+	results := engineCampaign(t, c, pureRunner(), 20, 4, func(i int, _ Result) {
 		iters = append(iters, i)
 	})
 	if len(iters) != len(results) {
@@ -113,13 +135,13 @@ func TestParallelCampaignObserverInDispatchOrder(t *testing.T) {
 	}
 }
 
-// TestParallelCampaignNoRepeats: the Ω dedup must hold across batches.
-func TestParallelCampaignNoRepeats(t *testing.T) {
+// TestEngineParallelNoRepeats: the Ω dedup must hold across batches.
+func TestEngineParallelNoRepeats(t *testing.T) {
 	c, err := NewController(ControllerConfig{Seed: 9, SeedTests: 8}, twoDimPlugins()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := ParallelCampaign(c, pureRunner(), 200, 8)
+	results := engineCampaign(t, c, pureRunner(), 200, 8, nil)
 	seen := make(map[scenario.CompactKey]bool, len(results))
 	for _, r := range results {
 		k := r.Scenario.Compact()

@@ -99,24 +99,20 @@ func (f RunnerFunc) Run(sc scenario.Scenario) Result { return f(sc) }
 // snapshot instead of cold-building the system for every test. RunFork
 // must be deterministic and indistinguishable from Run — same trace,
 // same metrics, same oracle verdicts — and, like Run, safe for
-// concurrent use. An Engine detects the capability on its Target and
-// switches to fork-per-test execution automatically; targets that do not
-// implement it transparently keep cold runs (see WithColdRuns to force
-// them).
+// concurrent use.
 type Snapshotter interface {
 	// RunFork executes the scenario from a warm snapshot.
 	RunFork(sc scenario.Scenario) Result
 }
 
-// WorkerSnapshotter is the contention-free variant of the fork
-// capability (DESIGN.md §14): RunForkWorker executes the scenario from a
-// master arena private to the given worker slot, so parallel campaign
-// workers never contend on a shared checkout mutex or pool. The engine
-// guarantees at most one in-flight call per worker slot at a time;
-// results must be bit-for-bit identical to RunFork (and hence to Run)
-// regardless of which slot executes a scenario. Targets implement it in
-// addition to Snapshotter — a parallel engine prefers RunForkWorker, a
-// serial engine keeps RunFork.
+// WorkerSnapshotter is the fork capability the Engine uses (DESIGN.md
+// §14): RunForkWorker executes the scenario from a master arena private
+// to the given worker slot, so parallel campaign workers never contend
+// on shared masters. The engine runs the k-th live test of a batch on
+// slot k (a serial campaign uses slot 0 only) and never runs two tests
+// on one slot at once. Results must be bit-for-bit identical to RunFork
+// (and hence to Run) whichever slot executes a scenario. Targets without
+// the capability run every test through Run.
 type WorkerSnapshotter interface {
 	Snapshotter
 	// RunForkWorker executes the scenario from the worker slot's private
@@ -124,14 +120,17 @@ type WorkerSnapshotter interface {
 	RunForkWorker(sc scenario.Scenario, worker int) Result
 }
 
-// Preparer is the prefetch capability of the pipelined campaign executor
-// (DESIGN.md §9): Prepare makes the expensive per-population artifacts a
-// scenario needs — the warm master deployment and the baseline
-// measurement — ready ahead of its run, so the engine can overlap the
-// next test's master build+warmup with the current test's measurement.
-// Prepare must be safe for concurrent use, idempotent, and free of
-// observable effects on results: a campaign with prefetching is
-// bit-for-bit the campaign without it, only faster.
+// Warmer lets a runner compute the shared derived state of a batch of
+// scenarios (e.g. per-population baselines) ahead of running it. The
+// Engine does not call it.
+type Warmer interface {
+	Warm(batch []scenario.Scenario)
+}
+
+// Preparer makes the per-population artifacts a scenario needs ready
+// ahead of its run. Prepare must be safe for concurrent use, idempotent,
+// and free of observable effects on results. The Engine does not call
+// it.
 type Preparer interface {
 	Prepare(sc scenario.Scenario)
 }
@@ -526,6 +525,12 @@ func NewExhaustiveExplorer(space *scenario.Space) *ExhaustiveExplorer {
 		return true
 	})
 	return e
+}
+
+// NewExhaustiveExplorerOf returns an explorer visiting the given
+// scenarios once each, in order.
+func NewExhaustiveExplorerOf(scenarios []scenario.Scenario) *ExhaustiveExplorer {
+	return &ExhaustiveExplorer{scenarios: scenarios}
 }
 
 var _ Explorer = (*ExhaustiveExplorer)(nil)

@@ -46,7 +46,7 @@ func TestCoverageExplorerRequiresPlugins(t *testing.T) {
 
 func TestCoverageExplorerNeverRepeats(t *testing.T) {
 	e := newTestCoverage(t, CoverageConfig{Seed: 1})
-	results := Campaign(e, covRunner(64), 300)
+	results := campaign(t, e, covRunner(64), 300)
 	if len(results) != 300 {
 		t.Fatalf("campaign ran %d of 300 tests", len(results))
 	}
@@ -65,7 +65,7 @@ func TestCoverageExplorerNeverRepeats(t *testing.T) {
 func TestCoverageExplorerExhaustsSpace(t *testing.T) {
 	p := &gridPlugin{name: "tiny", dim: scenario.Dimension{Name: "x", Min: 0, Max: 999, Step: 1}}
 	e := newTestCoverage(t, CoverageConfig{Seed: 2}, p)
-	results := Campaign(e, covRunner(10), 2000)
+	results := campaign(t, e, covRunner(10), 2000)
 	if len(results) != 1000 {
 		t.Fatalf("explorer executed %d of 1000 scenarios before reporting exhaustion", len(results))
 	}
@@ -73,7 +73,7 @@ func TestCoverageExplorerExhaustsSpace(t *testing.T) {
 
 func TestCoverageExplorerSchedulesMutants(t *testing.T) {
 	e := newTestCoverage(t, CoverageConfig{Seed: 3})
-	results := Campaign(e, covRunner(64), 200)
+	results := campaign(t, e, covRunner(64), 200)
 	var seeds, mutants int
 	for _, r := range results {
 		switch {
@@ -100,7 +100,7 @@ func TestCoverageExplorerSchedulesMutants(t *testing.T) {
 func TestCoverageExplorerDeterministic(t *testing.T) {
 	run := func() []string {
 		e := newTestCoverage(t, CoverageConfig{Seed: 11})
-		results := Campaign(e, covRunner(32), 120)
+		results := campaign(t, e, covRunner(32), 120)
 		keys := make([]string, len(results))
 		for i, r := range results {
 			keys[i] = r.Scenario.Key()
@@ -162,9 +162,9 @@ func TestCoverageBeatsGeneticOnNeedle(t *testing.T) {
 	covWins := 0
 	for seed := int64(0); seed < 5; seed++ {
 		ce := newTestCoverage(t, CoverageConfig{Seed: seed})
-		covAt := firstViolation(Campaign(ce, needle(), budget))
+		covAt := firstViolation(campaign(t, ce, needle(), budget))
 		ge := newTestGenetic(t, GeneticConfig{Seed: seed})
-		genAt := firstViolation(Campaign(ge, needle(), budget))
+		genAt := firstViolation(campaign(t, ge, needle(), budget))
 		if covAt <= genAt {
 			covWins++
 		}

@@ -97,7 +97,6 @@ type engineConfig struct {
 	observer   CampaignObserver
 	checkpoint *Checkpoint
 	sink       func([]Result) error
-	coldRuns   bool
 }
 
 // WithWorkers sets the number of concurrent test-execution workers.
@@ -137,15 +136,6 @@ func WithObserver(obs CampaignObserver) EngineOption {
 	return func(c *engineConfig) { c.observer = obs }
 }
 
-// WithColdRuns disables snapshot/fork execution: every test cold-builds
-// and warms a fresh deployment even when the target implements
-// Snapshotter. Forked and cold runs are bit-for-bit identical (enforced
-// by test), so this exists for benchmarking the two paths against each
-// other, not for correctness.
-func WithColdRuns() EngineOption {
-	return func(c *engineConfig) { c.coldRuns = true }
-}
-
 // WithCheckpoint attaches a checkpoint: results already in it are
 // replayed into the explorer before new tests run, and every newly
 // executed result is appended to it, enabling resumption after a
@@ -179,10 +169,9 @@ func WithDurable(d *DurableCheckpoint) EngineOption {
 
 // Engine is the protocol-agnostic campaign driver: it connects one
 // Explorer to one Target and streams executed Results as they complete.
-// It owns the scheduling that Campaign/ParallelCampaign/Sweep used to
-// hard-wire — serial or parallel workers, dispatch-order feedback,
-// context cancellation, checkpoint/resume — behind one construction
-// path:
+// It owns the scheduling — serial or parallel workers, dispatch-order
+// feedback, context cancellation, checkpoint/resume — behind one
+// construction path:
 //
 //	eng, _ := core.NewEngine(target, core.WithSeed(1), core.WithBudget(125))
 //	for res := range eng.Run(ctx) {
@@ -333,7 +322,7 @@ func (e *Engine) begin() bool {
 // stack) while the stream, the checkpoint, and the explorer's feedback
 // sequence continue undisturbed. A panicked run keeps its scenario so
 // checkpoint replay still verifies the proposal sequence.
-func safeRun(run func(scenario.Scenario) Result, sc scenario.Scenario) (res Result) {
+func safeRun(run func(scenario.Scenario, int) Result, sc scenario.Scenario, slot int) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{
@@ -342,7 +331,7 @@ func safeRun(run func(scenario.Scenario) Result, sc scenario.Scenario) (res Resu
 			}
 		}
 	}()
-	return run(sc)
+	return run(sc, slot)
 }
 
 // drive executes the campaign, handing each newly executed result to
@@ -362,35 +351,16 @@ func (e *Engine) drive(ctx context.Context, emit func(Result) bool) {
 		replay = e.cfg.checkpoint.snapshot()
 	}
 
-	warmer, _ := e.target.(Warmer)
-	// Snapshot/fork execution: when the target declares the capability,
-	// every test forks from a warm per-population snapshot instead of
-	// cold-building the deployment (identical results, enforced by test).
-	runFn := e.target.Run
-	forked := false
-	if s, ok := e.target.(Snapshotter); ok && !e.cfg.coldRuns {
-		runFn = s.RunFork
-		forked = true
+	// Fork execution: a WorkerSnapshotter target runs the k-th live test
+	// of a batch on its worker slot k, forking that slot's private warm
+	// masters (a serial campaign uses slot 0 only). Slots are
+	// deterministic per (seed, workers) and RunForkWorker is bit-for-bit
+	// Run by contract, so results do not depend on the path. Other
+	// targets run every test cold.
+	run := func(sc scenario.Scenario, _ int) Result { return e.target.Run(sc) }
+	if ws, ok := e.target.(WorkerSnapshotter); ok {
+		run = ws.RunForkWorker
 	}
-	// Contention-free parallel forks: a WorkerSnapshotter target gives
-	// each worker slot a private master arena, removing the shared
-	// checkout mutex from the parallel hot path. The serial engine keeps
-	// RunFork, so workers=1 execution is untouched. Slot assignment is
-	// the batch index — deterministic per (seed, workers) — and
-	// RunForkWorker is bit-for-bit RunFork by contract, so the campaign's
-	// results are unchanged.
-	var workerRun func(scenario.Scenario, int) Result
-	if ws, ok := e.target.(WorkerSnapshotter); ok && forked && e.cfg.workers > 1 {
-		workerRun = ws.RunForkWorker
-	}
-	// Pipelined prefetch (DESIGN.md §9): a Preparer target gets its
-	// per-population masters and baselines built concurrently with the
-	// batch's measurements instead of serially ahead of them. Prepare is
-	// result-neutral by contract, so the pipeline preserves bit-for-bit
-	// determinism per (seed, workers).
-	preparer, _ := e.target.(Preparer)
-	var prepWG sync.WaitGroup
-	defer prepWG.Wait()
 	workers := e.cfg.workers
 	if workers > e.cfg.budget {
 		workers = e.cfg.budget
@@ -438,42 +408,8 @@ func (e *Engine) drive(ctx context.Context, emit func(Result) bool) {
 			}
 		}
 		live := batch[replayed:]
-		if len(live) > 0 && workers > 1 {
-			if workerRun != nil {
-				// Per-worker arenas retain their masters for the whole
-				// campaign, so master prefetch into the shared cache would
-				// be wasted work; baselines are still shared and warm
-				// concurrently.
-				if warmer != nil {
-					warmer.Warm(live)
-				}
-			} else if preparer != nil {
-				// Fire-and-forget: workers start measuring immediately
-				// while the populations they need next warm up behind
-				// them. Baselines singleflight; masters prepared here
-				// serve checkouts from this batch's tail and every later
-				// batch (an Acquire never stalls on a prefetch — on a
-				// cold cache it builds its own).
-				for _, sc := range live {
-					prepWG.Add(1)
-					//avdlint:allow prefetch pool: Prepare is observably idempotent (memoized masters and baselines)
-					go func(sc scenario.Scenario) {
-						defer prepWG.Done()
-						preparer.Prepare(sc)
-					}(sc)
-				}
-			} else if warmer != nil {
-				warmer.Warm(live)
-			}
-		}
 		if len(live) == 1 {
-			if workerRun != nil {
-				results[replayed] = safeRun(func(sc scenario.Scenario) Result {
-					return workerRun(sc, replayed)
-				}, live[0])
-			} else {
-				results[replayed] = safeRun(runFn, live[0])
-			}
+			results[replayed] = safeRun(run, live[0], replayed)
 		} else if len(live) > 1 {
 			var wg sync.WaitGroup
 			for i := range live {
@@ -481,15 +417,9 @@ func (e *Engine) drive(ctx context.Context, emit func(Result) bool) {
 				//avdlint:allow campaign worker pool: tests are independent and each owns a private cluster
 				go func(i int) {
 					defer wg.Done()
-					if workerRun != nil {
-						// Slot replayed+i: unique within the batch, so no
-						// two in-flight runs share an arena.
-						results[replayed+i] = safeRun(func(sc scenario.Scenario) Result {
-							return workerRun(sc, replayed+i)
-						}, live[i])
-					} else {
-						results[replayed+i] = safeRun(runFn, live[i])
-					}
+					// Slot replayed+i is unique within the batch, so no
+					// two in-flight runs share a slot.
+					results[replayed+i] = safeRun(run, live[i], replayed+i)
 				}(i)
 			}
 			wg.Wait()

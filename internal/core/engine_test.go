@@ -32,10 +32,10 @@ func newEngineController(t *testing.T, seed int64) Explorer {
 }
 
 // TestEngineWorkers1MatchesCampaign: the engine's serial path must
-// reproduce the legacy Campaign bit-for-bit — results, generators, and
-// explorer feedback sequence.
+// reproduce the paper's serial worker loop bit-for-bit — results,
+// generators, impacts and explorer feedback sequence.
 func TestEngineWorkers1MatchesCampaign(t *testing.T) {
-	legacy := Campaign(newEngineController(t, 42), pureRunner(), 80)
+	legacy := referenceCampaign(newEngineController(t, 42), pureRunner(), 80, 1)
 
 	eng, err := NewEngine(newFakeTarget(), WithExplorer(newEngineController(t, 42)), WithBudget(80), WithWorkers(1))
 	if err != nil {
@@ -46,19 +46,24 @@ func TestEngineWorkers1MatchesCampaign(t *testing.T) {
 		t.Fatal(runErr)
 	}
 	if len(results) != len(legacy) {
-		t.Fatalf("engine ran %d tests, Campaign ran %d", len(results), len(legacy))
+		t.Fatalf("engine ran %d tests, the reference ran %d", len(results), len(legacy))
 	}
 	a, b := campaignFingerprint(legacy), campaignFingerprint(results)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("engine workers=1 diverged from Campaign at %d: %s vs %s", i, a[i], b[i])
+			t.Fatalf("engine workers=1 diverged from the reference at %d: %s vs %s", i, a[i], b[i])
+		}
+	}
+	for i := range legacy {
+		if legacy[i].Impact != results[i].Impact {
+			t.Fatalf("impact diverged at %d", i)
 		}
 	}
 }
 
 // TestEngineStreamingDeterministic: a fixed (seed, workers) pair must
-// reproduce itself through the streaming path, and match the legacy
-// ParallelCampaign scheduling exactly.
+// reproduce itself through the streaming path, and match the reference
+// batch schedule exactly.
 func TestEngineStreamingDeterministic(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		run := func() []string {
@@ -82,10 +87,10 @@ func TestEngineStreamingDeterministic(t *testing.T) {
 				t.Fatalf("workers=%d streaming nondeterministic at %d: %s vs %s", workers, i, a[i], b[i])
 			}
 		}
-		legacy := campaignFingerprint(ParallelCampaign(newEngineController(t, 7), pureRunner(), 60, workers))
+		ref := campaignFingerprint(referenceCampaign(newEngineController(t, 7), pureRunner(), 60, workers))
 		for i := range a {
-			if a[i] != legacy[i] {
-				t.Fatalf("workers=%d engine diverged from ParallelCampaign at %d: %s vs %s", workers, i, a[i], legacy[i])
+			if a[i] != ref[i] {
+				t.Fatalf("workers=%d engine diverged from the reference at %d: %s vs %s", workers, i, a[i], ref[i])
 			}
 		}
 	}

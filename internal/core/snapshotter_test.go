@@ -8,14 +8,15 @@ import (
 	"testing"
 )
 
-// forkTarget is a Target that also implements Snapshotter, counting how
-// each path executes. RunFork returns the same result as Run (the
-// contract real targets enforce by test).
+// forkTarget is a Target that also implements WorkerSnapshotter,
+// counting how each path executes and which slots run. Its forks return
+// the same result as Run (the contract real targets enforce by test).
 type forkTarget struct {
 	Runner
 	plugins []Plugin
 	cold    atomic.Int64
 	forked  atomic.Int64
+	maxSlot atomic.Int64
 }
 
 func (t *forkTarget) Name() string      { return "forkfake" }
@@ -31,50 +32,50 @@ func newForkTarget() *forkTarget {
 	return t
 }
 
-func (t *forkTarget) RunFork(sc scenario.Scenario) Result {
+func (t *forkTarget) RunFork(sc scenario.Scenario) Result { return t.RunForkWorker(sc, 0) }
+
+func (t *forkTarget) RunForkWorker(sc scenario.Scenario, worker int) Result {
 	t.forked.Add(1)
+	for {
+		cur := t.maxSlot.Load()
+		if int64(worker) <= cur || t.maxSlot.CompareAndSwap(cur, int64(worker)) {
+			break
+		}
+	}
 	return pureRunner().Run(sc)
 }
 
-// TestEngineUsesForkWhenAvailable: a Snapshotter target executes every
-// live test through RunFork, and the campaign result is identical to the
-// cold campaign of the same seed.
+// TestEngineUsesForkWhenAvailable: a WorkerSnapshotter target executes
+// every live test through RunForkWorker — on slot 0 only when serial,
+// on the batch slots in parallel — and the campaign result is identical
+// to the cold campaign of the same seed and workers.
 func TestEngineUsesForkWhenAvailable(t *testing.T) {
-	target := newForkTarget()
-	eng, err := NewEngine(target, WithExplorer(newEngineController(t, 9)), WithBudget(40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	forkedResults, runErr := eng.RunAll(context.Background())
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if got := target.forked.Load(); got != 40 {
-		t.Errorf("forked executions = %d, want 40", got)
-	}
-	if got := target.cold.Load(); got != 0 {
-		t.Errorf("cold executions = %d, want 0 (capability detected)", got)
-	}
+	for _, workers := range []int{1, 3} {
+		target := newForkTarget()
+		eng, err := NewEngine(target, WithExplorer(newEngineController(t, 9)), WithBudget(40), WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		forkedResults, runErr := eng.RunAll(context.Background())
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		if got := target.forked.Load(); got != 40 {
+			t.Errorf("workers=%d: forked executions = %d, want 40", workers, got)
+		}
+		if got := target.cold.Load(); got != 0 {
+			t.Errorf("workers=%d: cold executions = %d, want 0 (capability detected)", workers, got)
+		}
+		if got := target.maxSlot.Load(); got != int64(workers-1) {
+			t.Errorf("workers=%d: highest slot used = %d, want %d", workers, got, workers-1)
+		}
 
-	coldTarget := newForkTarget()
-	coldEng, err := NewEngine(coldTarget, WithExplorer(newEngineController(t, 9)), WithBudget(40), WithColdRuns())
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldResults, runErr := coldEng.RunAll(context.Background())
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if got := coldTarget.forked.Load(); got != 0 {
-		t.Errorf("WithColdRuns still forked %d executions", got)
-	}
-	if got := coldTarget.cold.Load(); got != 40 {
-		t.Errorf("WithColdRuns cold executions = %d, want 40", got)
-	}
-	a, b := campaignFingerprint(forkedResults), campaignFingerprint(coldResults)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("forked campaign diverged from cold at %d: %s vs %s", i, a[i], b[i])
+		coldResults := engineCampaign(t, newEngineController(t, 9), pureRunner(), 40, workers, nil)
+		a, b := campaignFingerprint(forkedResults), campaignFingerprint(coldResults)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("workers=%d: forked campaign diverged from cold at %d: %s vs %s", workers, i, a[i], b[i])
+			}
 		}
 	}
 }

@@ -14,11 +14,7 @@ import (
 // raft port of PBFT's PR 5 treatment and the guard for ISSUE 10.
 func TestRaftRestoreAllocFree(t *testing.T) {
 	w := DefaultWorkload()
-	r, err := NewRunner(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := r.newDeployment(8)
+	d := newDeployment(w, 8)
 	d.eng.RunFor(w.Warmup)
 	d.capture()
 

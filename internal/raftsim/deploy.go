@@ -16,9 +16,9 @@ import (
 // deployment is one instantiated Raft cluster bound to its own engine.
 // Construction is fault-neutral — the leader-flap attacker arms at
 // measurement start — so one warm deployment serves both scenario runs
-// and the attack-free baseline for its client count (DESIGN.md §8).
-// A deployment runs one test at a time; the Runner's master cache hands
-// each worker its own.
+// and the attack-free baseline for its client count (DESIGN.md §8). It
+// is the Raft core.Deployment: one test at a time, and the harness gives
+// each worker slot its own.
 type deployment struct {
 	w       Workload
 	eng     *sim.Engine
@@ -28,11 +28,8 @@ type deployment struct {
 	nodes   []*Node
 	cs      []*Client
 
-	measuring bool
-	completed uint64
-	latSum    time.Duration
-	latN      uint64
-	latTail   []time.Duration
+	// win counts client completions inside the measurement window.
+	win metrics.Window
 
 	snap *deploymentSnapshot
 }
@@ -47,10 +44,11 @@ type deploymentSnapshot struct {
 	clients []*ClientState
 }
 
+var _ core.Deployment[Report] = (*deployment)(nil)
+
 // newDeployment builds and starts a fault-neutral Raft deployment. The
 // caller runs the warmup.
-func (r *Runner) newDeployment(clients int64) *deployment {
-	w := r.w
+func newDeployment(w Workload, clients int64) *deployment {
 	// The coverage checker is part of the base oracle set: it is
 	// Rewindable, so snapshot/fork execution rolls its timeline fold back
 	// with the invariant checkers and forked digests equal cold ones.
@@ -83,7 +81,7 @@ func (r *Runner) newDeployment(clients int64) *deployment {
 		d.nodes = append(d.nodes, n)
 	}
 
-	onComplete := d.onComplete
+	onComplete := d.win.Complete
 	d.cs = make([]*Client, 0, clients)
 	nextAddr := simnet.Addr(w.Raft.N)
 	for i := int64(0); i < clients; i++ {
@@ -104,15 +102,14 @@ func (r *Runner) newDeployment(clients int64) *deployment {
 	return d
 }
 
-// onComplete observes one client completion.
-func (d *deployment) onComplete(seq uint64, latency time.Duration) {
-	if !d.measuring {
-		return
+// Fork implements core.Deployment: the first call captures the
+// post-warmup snapshot, later calls restore it.
+func (d *deployment) Fork() {
+	if d.snap == nil {
+		d.capture()
+	} else {
+		d.restore()
 	}
-	d.completed++
-	d.latSum += latency
-	d.latN++
-	d.latTail = append(d.latTail, latency)
 }
 
 // capture takes the post-warmup snapshot forks restore from.
@@ -143,14 +140,13 @@ func (d *deployment) restore() {
 	for i, c := range d.cs {
 		c.Restore(s.clients[i])
 	}
-	d.measuring = false
-	d.completed = 0
-	d.latSum, d.latN = 0, 0
+	d.win.Reset()
 }
 
-// arm activates the scenario's attacker and per-run checkers at
-// measurement start (cold path and forked path alike).
-func (d *deployment) arm(sc scenario.Scenario, withFaults bool, extra ...oracle.Checker) {
+// Arm implements core.Deployment: it activates the scenario's attacker
+// and per-run checkers at measurement start (cold path and forked path
+// alike).
+func (d *deployment) Arm(sc scenario.Scenario, withFaults bool, extra ...oracle.Checker) {
 	d.oracles.Attach(extra...)
 	if !withFaults {
 		return
@@ -214,13 +210,10 @@ func (d *deployment) arm(sc scenario.Scenario, withFaults bool, extra ...oracle.
 	}
 }
 
-// measure runs the given measurement window and collects the scenario
-// outcome. Attack runs pass Workload.Measure; attack-free baselines may
-// pass the shorter Workload.baselineWindow.
-func (d *deployment) measure(sc scenario.Scenario, window time.Duration) (core.Result, Report) {
-	d.latTail = d.latTail[:0]
-
-	d.measuring = true
+// Measure implements core.Deployment: it runs the measurement window and
+// collects the scenario outcome.
+func (d *deployment) Measure(sc scenario.Scenario, window time.Duration) (core.Result, Report) {
+	d.win.Begin()
 	leaderBefore := currentLeader(d.nodes)
 	if d.w.StepBudget > 0 {
 		d.eng.SetStepBudget(d.w.StepBudget)
@@ -230,27 +223,21 @@ func (d *deployment) measure(sc scenario.Scenario, window time.Duration) (core.R
 	if d.w.StepBudget > 0 {
 		d.eng.SetStepBudget(0)
 	}
-	d.measuring = false
+	d.win.End()
 	leaderAfter := currentLeader(d.nodes)
 
 	// Censored latency for requests still stuck at window end.
 	end := d.eng.Now()
 	for _, c := range d.cs {
 		if sentAt, ok := c.Outstanding(); ok {
-			if waited := end.Sub(sentAt); waited > 0 {
-				d.latSum += waited
-				d.latN++
-				d.latTail = append(d.latTail, waited)
-			}
+			d.win.Censor(end.Sub(sentAt))
 		}
 	}
 
 	res := core.Result{Scenario: sc}
-	res.Throughput = float64(d.completed) / window.Seconds()
-	if d.latN > 0 {
-		res.AvgLatency = d.latSum / time.Duration(d.latN)
-	}
-	rep := Report{Completed: d.completed, LeaderChanged: leaderBefore != leaderAfter}
+	res.Throughput = float64(d.win.Completed()) / window.Seconds()
+	res.AvgLatency = d.win.AvgLatency()
+	rep := Report{Completed: d.win.Completed(), LeaderChanged: leaderBefore != leaderAfter}
 	for _, n := range d.nodes {
 		st := n.Stats()
 		rep.ElectionsStarted += st.ElectionsStarted
@@ -271,7 +258,7 @@ func (d *deployment) measure(sc scenario.Scenario, window time.Duration) (core.R
 		res.Hung = true
 		res.Error = fmt.Sprintf("raftsim: scenario exceeded the %d-event step budget (runaway event storm)", d.w.StepBudget)
 	}
-	rep.P99Latency = metrics.PercentileInPlace(d.latTail, 99)
+	rep.P99Latency = d.win.P99()
 	res.Coverage = d.cov.Digest()
 	res.Violations = d.oracles.Finish()
 	return res, rep

@@ -61,7 +61,7 @@ func goldenSpace(t *testing.T) *scenario.Space {
 //	go test ./internal/raftsim -run TestGoldenTrace -update
 func TestGoldenTrace(t *testing.T) {
 	w, point := goldenWorkload()
-	r, err := NewRunner(w)
+	r, err := NewTarget(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestGoldenTraceSelfConsistent(t *testing.T) {
 	w, point := goldenWorkload()
 	sc := goldenSpace(t).New(point)
 	run := func() []string {
-		r, err := NewRunner(w)
+		r, err := NewTarget(w)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,9 @@
 package raftsim
 
 import (
-	"fmt"
-	"hash/fnv"
 	"time"
 
 	"avd/internal/core"
-	"avd/internal/metrics"
 	"avd/internal/oracle"
 	"avd/internal/scenario"
 	"avd/internal/sim"
@@ -80,234 +77,6 @@ type Report struct {
 	Crashes  uint64
 	Restarts uint64
 }
-
-// Runner executes scenarios against a fixed Raft workload. Like
-// cluster.Runner it caches attack-free baseline throughput per
-// correct-client count (the shared core.BaselineCache singleflight) and
-// is safe for concurrent use by parallel engine workers.
-type Runner struct {
-	w         Workload
-	baselines core.BaselineCache
-
-	// phases accumulates the campaign time decomposition
-	// (warmup/baseline/fork/run/analyze) that cmd/bench reports.
-	phases core.PhaseTimes
-
-	// masters caches warm deployments per client count for the
-	// snapshot/fork execution path (see cluster.Runner.masters): the
-	// leader-flap attacker is purely network-level and arms at
-	// measurement start, so scenario runs and baselines fork from the
-	// same per-count master.
-	masters core.ForkCache[int64, *deployment]
-
-	// workerMasters holds each parallel campaign worker's private master
-	// arena for the contention-free fork path (core.WorkerSnapshotter):
-	// no shared checkout mutex, one build per (worker, count).
-	workerMasters core.WorkerArenas[int64, *deployment]
-}
-
-// NewRunner returns a runner for the workload.
-func NewRunner(w Workload) (*Runner, error) {
-	if err := w.Raft.Validate(); err != nil {
-		return nil, err
-	}
-	if w.Measure <= 0 {
-		return nil, fmt.Errorf("raftsim: measurement window must be positive")
-	}
-	if w.BaselineMeasure < 0 {
-		return nil, fmt.Errorf("raftsim: baseline measurement window must not be negative")
-	}
-	return &Runner{w: w}, nil
-}
-
-// baselineWindow is the measurement window for attack-free baselines.
-func (w Workload) baselineWindow() time.Duration {
-	if w.BaselineMeasure > 0 {
-		return w.BaselineMeasure
-	}
-	return w.Measure
-}
-
-// Workload returns the runner's workload.
-func (r *Runner) Workload() Workload { return r.w }
-
-var _ core.Runner = (*Runner)(nil)
-
-// Run implements core.Runner: a cold run, building and warming a fresh
-// deployment. It is the reference semantics that the forked path must
-// reproduce bit-for-bit.
-func (r *Runner) Run(sc scenario.Scenario) core.Result {
-	res, _ := r.RunReport(sc)
-	return res
-}
-
-// RunFork implements core.Snapshotter: execute the scenario by forking a
-// warm master deployment for the scenario's client count.
-func (r *Runner) RunFork(sc scenario.Scenario) core.Result {
-	res, _ := r.RunForkReport(sc)
-	return res
-}
-
-// RunReport executes the scenario cold and returns both the impact
-// result and the detailed report.
-func (r *Runner) RunReport(sc scenario.Scenario) (core.Result, Report) {
-	return r.runScored(sc, false, nil)
-}
-
-// RunForkReport is RunReport through the snapshot/fork path.
-func (r *Runner) RunForkReport(sc scenario.Scenario) (core.Result, Report) {
-	return r.runScored(sc, true, nil)
-}
-
-// RunTraced executes the scenario with a trace recorder attached and
-// returns the oracle-event stream alongside the result: every leadership
-// change and log application, in deterministic simulation order. Golden-
-// trace regression tests compare this stream against a committed
-// fixture.
-func (r *Runner) RunTraced(sc scenario.Scenario) (core.Result, Report, []oracle.Event) {
-	rec := oracle.NewRecorder()
-	res, rep := r.runScored(sc, false, rec)
-	return res, rep, rec.Events()
-}
-
-// RunTracedFork is RunTraced through the snapshot/fork path; the
-// determinism tests compare its stream against RunTraced's.
-func (r *Runner) RunTracedFork(sc scenario.Scenario) (core.Result, Report, []oracle.Event) {
-	rec := oracle.NewRecorder()
-	res, rep := r.runScored(sc, true, rec)
-	return res, rep, rec.Events()
-}
-
-// runScored executes the scenario with faults and computes the impact
-// score against the cached baseline.
-func (r *Runner) runScored(sc scenario.Scenario, fork bool, rec *oracle.Recorder) (core.Result, Report) {
-	clients := sc.GetOr(DimClients, 10)
-	var extra []oracle.Checker
-	if rec != nil {
-		extra = append(extra, rec)
-	}
-	var (
-		res core.Result
-		rep Report
-	)
-	if fork {
-		res, rep = r.executeFork(sc, clients, true, extra...)
-	} else {
-		res, rep = r.execute(sc, clients, true, extra...)
-	}
-	return r.score(clients, res, rep)
-}
-
-var _ core.WorkerSnapshotter = (*Runner)(nil)
-
-// RunForkWorker implements core.WorkerSnapshotter: the forked run checks
-// its master out of the worker slot's private arena instead of the
-// shared ForkCache, so parallel campaign workers never contend on the
-// checkout mutex. Results are bit-for-bit RunFork's (enforced by test).
-func (r *Runner) RunForkWorker(sc scenario.Scenario, worker int) core.Result {
-	clients := sc.GetOr(DimClients, 10)
-	arena := r.workerMasters.Arena(worker)
-	d := arena[clients]
-	if d == nil {
-		start := metrics.StartWatch()
-		d = r.newDeployment(clients)
-		d.eng.RunFor(r.w.Warmup)
-		arena[clients] = d
-		r.phases.AddWarmup(start.Elapsed())
-	}
-	res, rep := r.forkRun(d, sc, true, r.w.Measure)
-	res, _ = r.score(clients, res, rep)
-	return res
-}
-
-// score computes the impact of a measured result against the cached
-// attack-free baseline for the client count.
-func (r *Runner) score(clients int64, res core.Result, rep Report) (core.Result, Report) {
-	baseline := r.Baseline(clients)
-	analyzeStart := metrics.StartWatch()
-	defer func() { r.phases.AddAnalyze(analyzeStart.Elapsed()) }()
-	res.BaselineThroughput = baseline
-	if baseline > 0 {
-		tputImpact := 1 - res.Throughput/baseline
-		if tputImpact < 0 {
-			tputImpact = 0
-		}
-		if tputImpact > 1 {
-			tputImpact = 1
-		}
-		if r.w.LatencyRef > 0 {
-			latImpact := float64(res.AvgLatency) / float64(r.w.LatencyRef)
-			if latImpact > 1 {
-				latImpact = 1
-			}
-			res.Impact = 0.8*tputImpact + 0.2*latImpact
-		} else {
-			res.Impact = tputImpact
-		}
-	}
-	return res, rep
-}
-
-// Baseline returns the attack-free throughput for a client count,
-// measuring and caching it on first use (singleflight per count).
-func (r *Runner) Baseline(clients int64) float64 {
-	return r.baselines.Get(clients, r.measureBaseline)
-}
-
-func (r *Runner) measureBaseline(clients int64) float64 {
-	start := metrics.StartWatch()
-	defer func() { r.phases.AddBaseline(start.Elapsed()) }()
-	empty := scenario.MustNewSpace(scenario.Dimension{
-		Name: DimClients, Min: clients, Max: clients, Step: 1,
-	}).New(nil)
-	// Baselines fork from the same per-count master as scenario runs:
-	// an attack-free run is simply a fork with no attacker armed.
-	res, _ := r.executeFork(empty, clients, false)
-	return res.Throughput
-}
-
-var _ core.Warmer = (*Runner)(nil)
-
-// Warm implements core.Warmer: measure a batch's missing baselines
-// concurrently before parallel workers need them.
-func (r *Runner) Warm(batch []scenario.Scenario) {
-	counts := make([]int64, len(batch))
-	for i, sc := range batch {
-		counts[i] = sc.GetOr(DimClients, 10)
-	}
-	r.baselines.Warm(counts, r.measureBaseline)
-}
-
-var _ core.Preparer = (*Runner)(nil)
-
-// Prepare implements core.Preparer (see cluster.Runner.Prepare): builds,
-// warms and captures the scenario's per-count master ahead of its run
-// and measures the baseline, result-neutrally, so the pipelined campaign
-// executor can overlap population builds with measurements.
-func (r *Runner) Prepare(sc scenario.Scenario) {
-	clients := sc.GetOr(DimClients, 10)
-	r.masters.Prepare(clients, func() *deployment {
-		start := metrics.StartWatch()
-		d := r.newDeployment(clients)
-		d.eng.RunFor(r.w.Warmup)
-		r.phases.AddWarmup(start.Elapsed())
-		forkStart := metrics.StartWatch()
-		d.capture()
-		r.phases.AddFork(forkStart.Elapsed())
-		return d
-	})
-	r.Baseline(clients)
-}
-
-// Phases returns the accumulated campaign-phase breakdown (see
-// core.PhaseTimes). The accumulators live for the Runner's lifetime;
-// cmd/bench isolates campaigns by constructing a fresh target per run.
-func (r *Runner) Phases() core.PhaseBreakdown { return r.phases.Breakdown() }
-
-// FlushMasters discards every parked warm master, mirroring
-// cluster.Runner.FlushMasters: cold-run benchmark sections call it so
-// retained deployments don't tax the cold runs' GC cycles.
-func (r *Runner) FlushMasters() { r.masters.DropAll() }
 
 // leaderFlap is the network-level attacker of the LeaderFlap plugin: on
 // every interval tick it finds the node currently acting as leader and
@@ -459,70 +228,6 @@ func corruptPayload(from, to simnet.Addr, payload any) any {
 	return nil
 }
 
-// execute builds, warms and runs one cold deployment. withFaults=false
-// strips the attacker (baseline measurement). The Raft protocol oracles —
-// election safety, log-matching agreement over applied entries,
-// committed-entry durability — always observe the run; extra checkers
-// (e.g. a trace Recorder) join for the measurement window. The attacker
-// arms at measurement start, identically to the forked path, so a cold
-// run is the forked run's reference semantics.
-func (r *Runner) execute(sc scenario.Scenario, clients int64, withFaults bool, extra ...oracle.Checker) (core.Result, Report) {
-	window := r.w.Measure
-	if !withFaults {
-		window = r.w.baselineWindow()
-	}
-	d := r.newDeployment(clients)
-	d.eng.RunFor(r.w.Warmup)
-	d.arm(sc, withFaults, extra...)
-	return d.measure(sc, window)
-}
-
-// executeFork runs the scenario by forking a warm master deployment for
-// the client count. Baseline forks (withFaults=false) skip the per-phase
-// accounting: measureBaseline attributes their whole cost — including
-// the master's build, if this call triggers it — to the baseline phase.
-func (r *Runner) executeFork(sc scenario.Scenario, clients int64, withFaults bool, extra ...oracle.Checker) (core.Result, Report) {
-	window := r.w.Measure
-	if !withFaults {
-		window = r.w.baselineWindow()
-	}
-	d := r.masters.Acquire(clients, func() *deployment {
-		start := metrics.StartWatch()
-		defer func() {
-			if withFaults {
-				r.phases.AddWarmup(start.Elapsed())
-			}
-		}()
-		d := r.newDeployment(clients)
-		d.eng.RunFor(r.w.Warmup)
-		return d
-	})
-	defer r.masters.Release(clients, d)
-	return r.forkRun(d, sc, withFaults, window, extra...)
-}
-
-// forkRun restores a checked-out master to its post-warmup snapshot
-// (capturing it on first use), arms the scenario and measures. Shared by
-// the pooled (executeFork) and per-worker-arena (RunForkWorker) paths.
-func (r *Runner) forkRun(d *deployment, sc scenario.Scenario, withFaults bool, window time.Duration, extra ...oracle.Checker) (core.Result, Report) {
-	forkStart := metrics.StartWatch()
-	if d.snap == nil {
-		d.capture()
-	} else {
-		d.restore()
-	}
-	d.arm(sc, withFaults, extra...)
-	if withFaults {
-		r.phases.AddFork(forkStart.Elapsed())
-	}
-	runStart := metrics.StartWatch()
-	res, rep := d.measure(sc, window)
-	if withFaults {
-		r.phases.AddRun(runStart.Elapsed())
-	}
-	return res, rep
-}
-
 // EntryDigest is the committed-value identity the oracles compare across
 // nodes: a hash of everything that makes two log entries "the same
 // command" — term, issuing client, and client sequence number.
@@ -548,44 +253,51 @@ func currentLeader(nodes []*Node) int {
 	return best
 }
 
-// Target adapts the Raft harness to the protocol-agnostic core.Target
-// seam, mirroring cluster.Target.
+// Target is the Raft system under test: the shared core.Harness over
+// Raft deployments, mirroring cluster.Target. A deployment's master key
+// is its client count: the Raft attackers are purely network- and
+// node-level and arm at measurement start, so scenario runs and
+// baselines fork the same per-count master.
 type Target struct {
-	*Runner
-	plugins []core.Plugin
+	*core.Harness[int64, *deployment, Report]
+	w Workload
 }
 
-var _ core.Target = (*Target)(nil)
+var (
+	_ core.Target            = (*Target)(nil)
+	_ core.WorkerSnapshotter = (*Target)(nil)
+)
 
 // NewTarget builds the Raft system under test for a workload. With no
 // explicit plugins it exposes the default Raft hyperspace: the client
 // population composed with the leader-flap attack dimensions.
 func NewTarget(w Workload, plugins ...core.Plugin) (*Target, error) {
-	r, err := NewRunner(w)
-	if err != nil {
+	if err := w.Raft.Validate(); err != nil {
 		return nil, err
 	}
 	if len(plugins) == 0 {
 		plugins = []core.Plugin{NewClientsPlugin(), NewLeaderFlapPlugin()}
 	}
-	return &Target{Runner: r, plugins: plugins}, nil
+	h, err := core.NewHarness[int64, *deployment, Report](core.HarnessSpec[int64, *deployment]{
+		Name:          "raft",
+		Config:        w,
+		Plugins:       plugins,
+		PopulationDim: DimClients,
+		Key:           func(sc scenario.Scenario) int64 { return sc.GetOr(DimClients, 10) },
+		Build: func(clients int64) *deployment {
+			d := newDeployment(w, clients)
+			d.eng.RunFor(w.Warmup)
+			return d
+		},
+		Measure:         w.Measure,
+		BaselineMeasure: w.BaselineMeasure,
+		LatencyRef:      w.LatencyRef,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Target{Harness: h, w: w}, nil
 }
 
-// Name implements core.Target.
-func (t *Target) Name() string { return "raft" }
-
-// Plugins implements core.Target.
-func (t *Target) Plugins() []core.Plugin {
-	cp := make([]core.Plugin, len(t.plugins))
-	copy(cp, t.plugins)
-	return cp
-}
-
-// ConfigFingerprint implements core.ConfigFingerprinter, mirroring
-// cluster.Target: the workload is a tree of flat scalar structs, so its
-// %+v rendering is a deterministic resume guard.
-func (t *Target) ConfigFingerprint() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", t.Workload())
-	return fmt.Sprintf("%016x", h.Sum64())
-}
+// Workload returns the target's workload.
+func (t *Target) Workload() Workload { return t.w }

@@ -109,7 +109,7 @@ func TestLogReplication(t *testing.T) {
 // TestRunnerBaselineHealthy: the attack-free workload sustains real
 // throughput — thousands of requests per second with compressed timers.
 func TestRunnerBaselineHealthy(t *testing.T) {
-	r, err := NewRunner(DefaultWorkload())
+	r, err := NewTarget(DefaultWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestRunnerBaselineHealthy(t *testing.T) {
 // isolated for longer than the election timeout, re-isolated as soon as
 // a successor stabilizes — must show high impact and extra elections.
 func TestLeaderFlapDegradesThroughput(t *testing.T) {
-	r, err := NewRunner(DefaultWorkload())
+	r, err := NewTarget(DefaultWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestRunnerDeterministic(t *testing.T) {
 		DimFlapDownMS:     200,
 	})
 	run := func() (float64, float64, uint64) {
-		r, err := NewRunner(DefaultWorkload())
+		r, err := NewTarget(DefaultWorkload())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestApplyDedup(t *testing.T) {
 	w := DefaultWorkload()
 	// A lossy network forces retransmissions.
 	w.Net.DropRate = 0.05
-	r, err := NewRunner(w)
+	r, err := NewTarget(w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,11 +197,15 @@ func TestSupervisorKillHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Kill only once the first start has recorded itself: a kill that
+	// lands before the count is written would make the restart count
+	// itself as start 1 and loop with nobody left to kill it.
+	count := filepath.Join(dir, "count")
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for {
-			if s.Kill(0) {
+			if b, err := os.ReadFile(count); err == nil && strings.TrimSpace(string(b)) == "1" && s.Kill(0) {
 				return
 			}
 			time.Sleep(5 * time.Millisecond)

@@ -77,11 +77,11 @@ func BenchmarkEngineSchedule(b *testing.B) {
 
 // snapshotScenario is the Big MAC point the snapshot/fork benchmarks
 // execute (30 correct clients, heavy mask).
-func snapshotScenario(b *testing.B) (*cluster.Runner, scenario.Scenario) {
+func snapshotScenario(b *testing.B) (*cluster.Target, scenario.Scenario) {
 	b.Helper()
 	w := cluster.DefaultWorkload()
 	w.Measure = 500 * time.Millisecond
-	r, err := cluster.NewRunner(w)
+	r, err := cluster.NewTarget(w)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -160,8 +160,8 @@ func TestOracleObserveAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkFig2AVDParallel is BenchmarkFig2AVD executed by the parallel
-// campaign engine with all CPUs — the campaign-throughput headline.
+// BenchmarkFig2AVDParallel is BenchmarkFig2AVD executed by the Engine
+// with all CPUs as workers — the campaign-throughput headline.
 func BenchmarkFig2AVDParallel(b *testing.B) {
 	runner := benchRunner(b, benchWorkload())
 	plugins := []core.Plugin{plugin.NewMACCorrupt(), plugin.NewClients()}
@@ -171,7 +171,7 @@ func BenchmarkFig2AVDParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		results := core.ParallelCampaign(ctrl, runner, 40, runtime.NumCPU())
+		results := campaign(b, runner, ctrl, 40, runtime.NumCPU())
 		best = core.BestSoFar(results)[len(results)-1]
 	}
 	b.ReportMetric(best.Impact, "impact")
