@@ -19,7 +19,10 @@ package avd_test
 //     restore path.
 
 import (
+	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -159,6 +162,94 @@ func TestForkedEqualsColdFaultV2Raft(t *testing.T) {
 			}
 		}
 	}
+
+	// The campaign benchmark's raft-linkfaults points (cmd/avd -target
+	// raft -faults crash,skew,oneway,corrupt,dup -stepbudget 300000
+	// -seed 3) that lose durable state under corruption and duplication,
+	// on the CLI's workload: long lagging suffixes, hung windows, and one
+	// point whose run panics. A panicking point must panic the same way
+	// on both paths.
+	cli := raftsim.DefaultWorkload()
+	cli.Measure = 1500 * time.Millisecond
+	cli.StepBudget = 300_000
+	cr, err := raftsim.NewTarget(cli)
+	if err != nil {
+		t.Fatal(err)
+	}
+	panicked, hung := 0, 0
+	for _, key := range []string{
+		"corrupt_mask=147|crash_down_ms=200|crash_interval_ms=700|crash_lose_state=1|dup_mask=119|flap_down_ms=50|flap_interval_ms=950|netfault_from=4|oneway_dir=1|oneway_victim=2|raft_clients=10|skew_node=0|skew_permille=0",
+		"corrupt_mask=200|crash_down_ms=0|crash_interval_ms=250|crash_lose_state=1|dup_mask=20|flap_down_ms=350|flap_interval_ms=750|netfault_from=0|oneway_dir=1|oneway_victim=4|raft_clients=50|skew_node=2|skew_permille=200",
+		"corrupt_mask=229|crash_down_ms=275|crash_interval_ms=850|crash_lose_state=1|dup_mask=83|flap_down_ms=250|flap_interval_ms=100|netfault_from=3|oneway_dir=1|oneway_victim=3|raft_clients=10|skew_node=3|skew_permille=200",
+		"corrupt_mask=209|crash_down_ms=50|crash_interval_ms=300|crash_lose_state=1|dup_mask=33|flap_down_ms=200|flap_interval_ms=500|netfault_from=1|oneway_dir=1|oneway_victim=2|raft_clients=10|skew_node=1|skew_permille=100",
+		"corrupt_mask=189|crash_down_ms=325|crash_interval_ms=1000|crash_lose_state=1|dup_mask=116|flap_down_ms=75|flap_interval_ms=500|netfault_from=1|oneway_dir=1|oneway_victim=4|raft_clients=50|skew_node=2|skew_permille=300",
+		"corrupt_mask=143|crash_down_ms=200|crash_interval_ms=800|crash_lose_state=1|dup_mask=125|flap_down_ms=225|flap_interval_ms=900|netfault_from=0|oneway_dir=0|oneway_victim=0|raft_clients=10|skew_node=2|skew_permille=0",
+		"corrupt_mask=231|crash_down_ms=250|crash_interval_ms=50|crash_lose_state=1|dup_mask=122|flap_down_ms=100|flap_interval_ms=600|netfault_from=5|oneway_dir=1|oneway_victim=2|raft_clients=10|skew_node=3|skew_permille=0",
+		"corrupt_mask=200|crash_down_ms=0|crash_interval_ms=650|crash_lose_state=1|dup_mask=163|flap_down_ms=125|flap_interval_ms=850|netfault_from=3|oneway_dir=1|oneway_victim=4|raft_clients=20|skew_node=1|skew_permille=300",
+	} {
+		sc := scenarioFromKey(t, space, key)
+		coldRes, coldRep, coldTrace, coldPanic := runTracedRecovered(func() (core.Result, raftsim.Report, []oracle.Event) {
+			return cr.RunTraced(sc)
+		})
+		if coldPanic != "" {
+			panicked++
+		}
+		if coldRes.Hung {
+			hung++
+		}
+		for fork := 0; fork < 2; fork++ {
+			forkRes, forkRep, forkTrace, forkPanic := runTracedRecovered(func() (core.Result, raftsim.Report, []oracle.Event) {
+				return cr.RunTracedFork(sc)
+			})
+			if coldPanic != "" || forkPanic != "" {
+				if coldPanic != forkPanic {
+					t.Errorf("%s fork %d: panic differs:\ncold: %q\nfork: %q", key, fork, coldPanic, forkPanic)
+				}
+				continue
+			}
+			assertSameRun(t, key, coldRes, forkRes, coldTrace, forkTrace)
+			if !reflect.DeepEqual(coldRep, forkRep) {
+				t.Errorf("%s fork %d: report differs:\ncold: %+v\nfork: %+v", key, fork, coldRep, forkRep)
+			}
+		}
+	}
+	// The campaign recorded these outcomes; a point that stops hanging or
+	// panicking no longer covers the path it was picked for.
+	if panicked != 1 || hung != 4 {
+		t.Errorf("%d points panicked and %d hung, want the 1 and 4 the campaign recorded", panicked, hung)
+	}
+}
+
+// scenarioFromKey rebuilds a scenario from its Key() rendering.
+func scenarioFromKey(t *testing.T, space *scenario.Space, key string) scenario.Scenario {
+	t.Helper()
+	point := map[string]int64{}
+	for _, kv := range strings.Split(key, "|") {
+		name, val, ok := strings.Cut(kv, "=")
+		v, err := strconv.ParseInt(val, 10, 64)
+		if !ok || err != nil {
+			t.Fatalf("bad scenario key component %q", kv)
+		}
+		point[name] = v
+	}
+	sc := space.New(point)
+	if sc.Key() != key {
+		t.Fatalf("scenario key round trip: got %s, want %s", sc.Key(), key)
+	}
+	return sc
+}
+
+// runTracedRecovered runs a traced test and turns a panic of the system
+// under test into the first line of its message, as the engine reports
+// it in Result.Error.
+func runTracedRecovered(run func() (core.Result, raftsim.Report, []oracle.Event)) (res core.Result, rep raftsim.Report, trace []oracle.Event, panicked string) {
+	defer func() {
+		if r := recover(); r != nil {
+			panicked, _, _ = strings.Cut(fmt.Sprint(r), "\n")
+		}
+	}()
+	res, rep, trace = run()
+	return res, rep, trace, ""
 }
 
 // TestRunawayScenarioDegradesToHung: a corrupt+dup schedule turns the

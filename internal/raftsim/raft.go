@@ -229,9 +229,12 @@ type Node struct {
 	term     uint64
 	votedFor int // -1 = none this term
 	leader   int // -1 = unknown
-	log      []Entry
-	commit   uint64
-	applied  uint64
+	// log is shared by reference with in-flight AppendEntries batches,
+	// under the shared-suffix invariant (slab.go): an index below any
+	// length the node has already shared is never rewritten.
+	log     []Entry
+	commit  uint64
+	applied uint64
 
 	// votes is the ballot box for the node's current candidacy, a dense
 	// presence mask over node ids (Config.Validate bounds N at 64).
@@ -261,7 +264,6 @@ type Node struct {
 	aeSlab  slab[AppendEntries]      //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
 	aerSlab slab[AppendEntriesReply] //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
 	crSlab  slab[ClientReply]        //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
-	entSlab entrySlab                //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
 
 	// Oracle observers, invoked on the simulation goroutine: onLead when
 	// the node assumes leadership for a term, onApply for every log
@@ -363,7 +365,7 @@ func (n *Node) Crash(keepDurable bool) {
 	if !keepDurable {
 		n.term = 0
 		n.votedFor = -1
-		n.log = n.log[:0]
+		n.log = nil // not n.log[:0]: in-flight batches may share the array
 	}
 }
 
@@ -505,11 +507,10 @@ func (n *Node) sendAppend(peer int) {
 		prevTerm = n.log[prevIdx-1].Term
 	}
 	var entries []Entry
-	if uint64(len(n.log)) >= next {
-		// Copy: the message outlives this call and the log's backing
-		// array is mutated in place on truncation after a step-down.
-		entries = n.entSlab.get(len(n.log) - int(next-1))
-		copy(entries, n.log[next-1:])
+	if l := len(n.log); uint64(l) >= next {
+		// By reference (the shared-suffix invariant); the full-slice cap
+		// stops a receiver appending into the leader's array.
+		entries = n.log[next-1 : l : l]
 	}
 	ae := n.aeSlab.get()
 	*ae = AppendEntries{
@@ -593,19 +594,24 @@ func (n *Node) onAppendEntries(m *AppendEntries) {
 			return
 		}
 	}
-	// Append new entries, truncating on conflict (Raft §5.3).
-	idx := m.PrevLogIndex
-	for _, e := range m.Entries {
-		idx++
-		if uint64(len(n.log)) >= idx {
-			if n.log[idx-1].Term != e.Term {
-				n.log = n.log[:idx-1]
-				n.log = append(n.log, e)
-			}
-		} else {
-			n.log = append(n.log, e)
-		}
+	// Append new entries, truncating on conflict (Raft §5.3): skip the
+	// prefix whose terms the log already holds, replace the rest. The
+	// full-slice cap makes truncation copy onto a fresh array, which
+	// batches this node sent as leader may still share.
+	base := int(m.PrevLogIndex)
+	have := n.log[base:]
+	k := 0
+	for k < len(m.Entries) && k < len(have) && have[k].Term == m.Entries[k].Term {
+		k++
 	}
+	if k < len(m.Entries) {
+		cut := base + k
+		if k < len(have) {
+			n.log = n.log[:cut:cut]
+		}
+		n.log = append(n.log, m.Entries[k:]...)
+	}
+	idx := m.PrevLogIndex + uint64(len(m.Entries))
 	if m.LeaderCommit > n.commit {
 		last := uint64(len(n.log))
 		if m.LeaderCommit < last {
@@ -655,25 +661,33 @@ func (n *Node) onAppendEntriesReply(m *AppendEntriesReply) {
 }
 
 // advanceCommit commits the highest current-term index replicated on a
-// majority (Raft §5.4.2: only current-term entries commit by counting).
+// majority (Raft §5.4.2: only current-term entries commit by counting):
+// the highest matchIndex a majority holds, if every entry from there to
+// the end of the log is of the current term.
 func (n *Node) advanceCommit() {
-	last, _ := n.lastLog()
-	for idx := last; idx > n.commit; idx-- {
-		if n.log[idx-1].Term != n.term {
-			break
-		}
+	var held uint64
+	for _, mi := range n.matchIndex {
 		count := 0
-		for peer := 0; peer < n.cfg.N; peer++ {
-			if n.matchIndex[peer] >= idx {
+		for _, o := range n.matchIndex {
+			if o >= mi {
 				count++
 			}
 		}
-		if count >= n.cfg.N/2+1 {
-			n.commit = idx
-			n.applyCommitted()
-			break
+		if count >= n.cfg.N/2+1 && mi > held {
+			held = mi
 		}
 	}
+	target := min(held, uint64(len(n.log)))
+	if target <= n.commit {
+		return
+	}
+	for _, e := range n.log[target-1:] {
+		if e.Term != n.term {
+			return
+		}
+	}
+	n.commit = target
+	n.applyCommitted()
 }
 
 // applyCommitted applies newly committed entries; the leader answers the

@@ -6,9 +6,10 @@ package raftsim
 // top three sites of a campaign allocation profile (~36k allocs per
 // forked test vs PBFT's 30).
 //
-// slab is a rewindable bump allocator for protocol objects that are
-// built once, shared by pointer and never individually freed (vote
-// requests and replies, append batches, client requests and replies).
+// slab is a rewindable bump allocator for fixed-size protocol objects
+// that are built once, shared by pointer and never individually freed
+// (vote requests and replies, AppendEntries headers, append replies,
+// client requests and replies).
 //
 // Rewindability is what makes snapshot/fork execution allocation-flat:
 // everything a measurement window builds becomes unreachable the moment
@@ -18,6 +19,17 @@ package raftsim
 // object — and objects allocated before the mark are never rewound, so
 // pointers captured by the snapshot (in-flight messages inside the
 // engine's event snapshot) stay valid.
+//
+// The entries an AppendEntries carries need no slab: sendAppend shares
+// the leader's log suffix by reference, under the shared-suffix
+// invariant — an index of a node's log backing array below any length
+// the node has already shared is never rewritten. The log grows in
+// place; conflict truncation copies onto a fresh array and a
+// state-losing Crash drops the array, so a batch in flight reads the
+// values it was sent with. Restore copies in place, which is sound too:
+// into the capture-time array it writes back the values already there,
+// and a later array is shared only by messages the rollback discarded.
+// (Copying the suffix per send cost O(lag), quadratic under link faults.)
 type slab[T any] struct {
 	chunks [][]T
 	ci     int // chunk currently being carved
@@ -44,35 +56,3 @@ func (s *slab[T]) get() *T {
 
 func (s *slab[T]) mark() slabMark    { return slabMark{ci: s.ci, off: s.off} }
 func (s *slab[T]) rewind(m slabMark) { s.ci, s.off = m.ci, m.off }
-
-// entrySlab is the log-window variant of slab (PBFT's tagSlab shape): it
-// carves n-contiguous []Entry windows for AppendEntries batches — the
-// copy of log[next-1:] that each send must take because the log's
-// backing array is truncated in place on conflict — and rewinds the same
-// way.
-type entrySlab struct {
-	chunks [][]Entry
-	ci     int
-	off    int
-}
-
-func (s *entrySlab) get(n int) []Entry {
-	if s.ci < len(s.chunks) && s.off+n > len(s.chunks[s.ci]) {
-		s.ci++
-		s.off = 0
-	}
-	if s.ci == len(s.chunks) {
-		size := 256 * n
-		s.chunks = append(s.chunks, make([]Entry, size))
-	}
-	c := s.chunks[s.ci]
-	w := c[s.off : s.off+n : s.off+n]
-	if s.off += n; s.off == len(c) {
-		s.ci++
-		s.off = 0
-	}
-	return w
-}
-
-func (s *entrySlab) mark() slabMark    { return slabMark{ci: s.ci, off: s.off} }
-func (s *entrySlab) rewind(m slabMark) { s.ci, s.off = m.ci, m.off }

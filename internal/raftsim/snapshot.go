@@ -41,7 +41,6 @@ type NodeState struct {
 	aeMark  slabMark
 	aerMark slabMark
 	crMark  slabMark
-	entMark slabMark
 
 	stats NodeStats
 }
@@ -69,7 +68,6 @@ func (n *Node) Snapshot() *NodeState {
 		aeMark:         n.aeSlab.mark(),
 		aerMark:        n.aerSlab.mark(),
 		crMark:         n.crSlab.mark(),
-		entMark:        n.entSlab.mark(),
 		stats:          n.stats,
 	}
 	return s
@@ -84,12 +82,12 @@ func (n *Node) Restore(s *NodeState) {
 	n.aeSlab.rewind(s.aeMark)
 	n.aerSlab.rewind(s.aerMark)
 	n.crSlab.rewind(s.crMark)
-	n.entSlab.rewind(s.entMark)
 	n.crashed = s.crashed
 	n.role = s.role
 	n.term = s.term
 	n.votedFor = s.votedFor
 	n.leader = s.leader
+	// In place, yet within the shared-suffix invariant (slab.go).
 	n.log = append(n.log[:0], s.log...)
 	n.commit = s.commit
 	n.applied = s.applied
