@@ -23,8 +23,8 @@
 //     forked from the warm master snapshot, plus the fork-enabled
 //     campaign rate.
 //   - campaign_phases: the serial fig2 campaign's wall-clock decomposed
-//     into master build+warmup, baseline measurement, fork
-//     (restore+arm), measurement windows and impact scoring. Phases are
+//     into master build+warmup, baseline measurement, fork (arm plus
+//     the post-run park), measurement windows and impact scoring. Phases are
 //     accumulated inside the harness, so overlapped work (parallel
 //     workers) can make the sections sum past the campaign seconds.
 //   - sharded_campaign: the crash-safe sharded runtime's overhead — a

@@ -42,8 +42,8 @@ type deployment struct {
 	// window.
 	win metrics.Window
 
-	// snap is the post-warmup capture forks restore from (nil until the
-	// first forked run).
+	// snap is the post-warmup capture every park restores (nil on a
+	// cold deployment, which is never captured).
 	snap *deploymentSnapshot
 }
 
@@ -121,12 +121,17 @@ func newDeployment(w Workload, correctClients, nMalicious int64) *deployment {
 
 	onComplete := d.win.Complete
 
+	// Every client carves its requests and authenticators from one
+	// arena: one allocation stream per deployment instead of one per
+	// client.
+	arena := pbft.WithArena(&pbft.ClientArena{})
+
 	// Correct clients.
 	nextAddr := simnet.Addr(w.PBFT.N)
 	d.clients = make([]*pbft.Client, 0, correctClients)
 	for i := int64(0); i < correctClients; i++ {
 		c, err := pbft.NewClient(nextAddr, w.PBFT, w.Correct, d.net, d.keyring,
-			pbft.WithOnComplete(onComplete))
+			pbft.WithOnComplete(onComplete), arena)
 		if err != nil {
 			panic(fmt.Sprintf("cluster: client construction: %v", err))
 		}
@@ -140,7 +145,7 @@ func newDeployment(w Workload, correctClients, nMalicious int64) *deployment {
 	d.malicious = make([]*pbft.Client, 0, nMalicious)
 	for i := int64(0); i < nMalicious; i++ {
 		m, err := pbft.NewClient(nextAddr, w.PBFT, w.Malicious, d.net, d.keyring,
-			pbft.WithInjector(faultinject.NewInjector(faultinject.Plan{})))
+			pbft.WithInjector(faultinject.NewInjector(faultinject.Plan{})), arena)
 		if err != nil {
 			panic(fmt.Sprintf("cluster: malicious client construction: %v", err))
 		}
@@ -158,7 +163,7 @@ func newDeployment(w Workload, correctClients, nMalicious int64) *deployment {
 }
 
 // Fork implements core.Deployment: the first call captures the
-// post-warmup snapshot, later calls restore it.
+// post-warmup snapshot, later calls park the deployment on it.
 func (d *deployment) Fork() {
 	if d.snap == nil {
 		d.capture()

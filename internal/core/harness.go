@@ -17,9 +17,16 @@ import (
 // every scenario-specific tool arms at measurement start, which is what
 // lets one warm deployment serve many tests (DESIGN.md §8). A deployment
 // runs one test at a time and is not safe for concurrent use.
+//
+// A master's lifecycle is build → capture → (arm → measure → park)*: the
+// harness calls Fork once right after Build to capture the post-warmup
+// snapshot, and again after every measurement to park the master, so an
+// idle master holds only its warm prefix and the window's scratch goes
+// back to the chunk pools (package slab) for the next test to reuse.
 type Deployment[R any] interface {
-	// Fork rewinds the deployment to its post-warmup snapshot, capturing
-	// the snapshot instead on the first call.
+	// Fork captures the post-warmup snapshot on the first call; every
+	// later call parks the deployment, rewinding it to that snapshot
+	// and disarming whatever the last run armed.
 	Fork()
 	// Arm activates the scenario's faults (none when withFaults is
 	// false, for baselines) and attaches the run's extra checkers.
@@ -58,18 +65,18 @@ type HarnessSpec[K comparable, D any] struct {
 }
 
 // Harness is the deployment harness every target shares: build → warm →
-// capture/restore → arm → measure → score, with attack-free baselines
+// capture → (arm → measure → park → score)*, with attack-free baselines
 // cached per population and per-slot master arenas for forked runs. A
 // target supplies only its Deployment and a HarnessSpec. Harness
 // implements Target, Warmer, Snapshotter, WorkerSnapshotter, Preparer
 // and ConfigFingerprinter, and is safe for concurrent use.
 //
 // Forked runs execute on a worker slot: a lock plus a private arena of
-// warm masters keyed by HarnessSpec.Key, built on first use and kept for
-// the harness's lifetime. The engine runs slot k for the k-th test of a
-// batch, so serial campaigns use slot 0 only. A baseline missing when a
-// run is scored is measured on the slot that run holds, forking the
-// slot's attack-free master; the BaselineCache singleflight makes
+// warm masters keyed by HarnessSpec.Key, built on first use and kept,
+// parked, for the harness's lifetime. The engine runs slot k for the
+// k-th test of a batch, so serial campaigns use slot 0 only. A baseline
+// missing when a run is scored is measured on the slot that run holds,
+// on the slot's attack-free master; the BaselineCache singleflight makes
 // concurrent slots share one measurement.
 type Harness[K comparable, D Deployment[R], R any] struct {
 	spec      HarnessSpec[K, D]
@@ -226,8 +233,10 @@ func (h *Harness[K, D, R]) cold(sc scenario.Scenario, extra ...oracle.Checker) (
 	return h.score(res, h.Baseline(h.population(sc))), rep
 }
 
-// forked runs the scenario on a slot's master for its key, building and
-// warming the master on first use.
+// forked runs the scenario on a slot's master for its key, building,
+// warming and capturing the master on first use. The master is parked
+// before the result is scored: scoring may measure a baseline on the
+// same master.
 func (h *Harness[K, D, R]) forked(s *harnessSlot[K, D], sc scenario.Scenario, extra ...oracle.Checker) (Result, R) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -235,18 +244,38 @@ func (h *Harness[K, D, R]) forked(s *harnessSlot[K, D], sc scenario.Scenario, ex
 	d, ok := s.masters[key]
 	if !ok {
 		start := metrics.StartWatch()
-		d = h.spec.Build(key)
-		s.masters[key] = d
+		d = h.master(s, key)
 		h.phases.AddWarmup(start.Elapsed())
 	}
-	forkStart := metrics.StartWatch()
+	res, rep := h.runParked(d, sc, extra...)
+	return h.score(res, h.baseline(s, h.population(sc))), rep
+}
+
+// master builds, warms and captures slot s's master for key.
+func (h *Harness[K, D, R]) master(s *harnessSlot[K, D], key K) D {
+	d := h.spec.Build(key)
 	d.Fork()
+	s.masters[key] = d
+	return d
+}
+
+// runParked arms and measures one run on a captured master and parks the
+// master again, through a defer so that a run that panics leaves its
+// master parked too. Arming and parking are fork time, the window is run
+// time.
+func (h *Harness[K, D, R]) runParked(d D, sc scenario.Scenario, extra ...oracle.Checker) (Result, R) {
+	armStart := metrics.StartWatch()
+	defer func() {
+		parkStart := metrics.StartWatch()
+		d.Fork()
+		h.phases.AddFork(parkStart.Elapsed())
+	}()
 	d.Arm(sc, true, extra...)
-	h.phases.AddFork(forkStart.Elapsed())
+	h.phases.AddFork(armStart.Elapsed())
 	runStart := metrics.StartWatch()
 	res, rep := d.Measure(sc, h.spec.Measure)
 	h.phases.AddRun(runStart.Elapsed())
-	return h.score(res, h.baseline(s, h.population(sc))), rep
+	return res, rep
 }
 
 // baseline returns a population's baseline, measuring it on slot s —
@@ -257,7 +286,7 @@ func (h *Harness[K, D, R]) baseline(s *harnessSlot[K, D], population int64) floa
 	})
 }
 
-// measureBaseline forks slot s's master for the population's attack-free
+// measureBaseline runs slot s's master for the population's attack-free
 // scenario with nothing armed. Its whole cost, including a master build,
 // is baseline time.
 func (h *Harness[K, D, R]) measureBaseline(s *harnessSlot[K, D], population int64) float64 {
@@ -269,10 +298,9 @@ func (h *Harness[K, D, R]) measureBaseline(s *harnessSlot[K, D], population int6
 	key := h.spec.Key(empty)
 	d, ok := s.masters[key]
 	if !ok {
-		d = h.spec.Build(key)
-		s.masters[key] = d
+		d = h.master(s, key)
 	}
-	d.Fork()
+	defer d.Fork() // park, before the deferred timing above
 	d.Arm(empty, false)
 	res, _ := d.Measure(empty, h.spec.BaselineMeasure)
 	return res.Throughput

@@ -19,6 +19,9 @@ import (
 type fakeWorld struct {
 	builds    atomic.Int64
 	baselines atomic.Int64
+	// dirtyArms counts arms of a captured master that the previous run
+	// left unparked.
+	dirtyArms atomic.Int64
 	// onBaseline, when set, runs at the start of every baseline
 	// measurement (an unarmed Measure).
 	onBaseline func()
@@ -34,11 +37,20 @@ type fakeDeployment struct {
 	population int64
 	runs       int
 	armed      bool
+	forks      int  // Fork calls: the capture, then one park per run
+	dirty      bool // armed since the last Fork
 }
 
-func (d *fakeDeployment) Fork() {}
+func (d *fakeDeployment) Fork() {
+	d.forks++
+	d.dirty = false
+}
 
 func (d *fakeDeployment) Arm(sc scenario.Scenario, withFaults bool, extra ...oracle.Checker) {
+	if d.dirty {
+		d.world.dirtyArms.Add(1)
+	}
+	d.dirty = true
 	d.armed = withFaults
 }
 
@@ -244,5 +256,44 @@ func TestHarnessPublicCallsDuringCampaign(t *testing.T) {
 	}
 	if n := world.baselines.Load(); n != 4 {
 		t.Errorf("%d baseline measurements for 4 populations, want 4", n)
+	}
+}
+
+// TestHarnessParksAfterEveryRun pins the master lifecycle build →
+// capture → (arm → measure → park)*: a master is captured once right
+// after its build and parked after every window — attack runs, the
+// baseline its first run's score measures on it, and a run whose
+// measurement panics — so no run arms a master the previous one left
+// dirty.
+func TestHarnessParksAfterEveryRun(t *testing.T) {
+	world := &fakeWorld{}
+	h := newFakeHarness(t, world)
+	for x := int64(0); x < 3; x++ {
+		h.RunFork(harnessScenario(t, x, 2))
+	}
+	d := h.slot(0).masters[2]
+	// One capture, one park per attack window, one for the baseline.
+	if d.forks != 5 || d.dirty {
+		t.Fatalf("after 3 runs and a baseline: %d forks (dirty %v), want 5 and parked", d.forks, d.dirty)
+	}
+	world.onAttack = func() { panic("measurement panicked") }
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the run's panic did not propagate")
+			}
+		}()
+		h.RunFork(harnessScenario(t, 7, 2))
+	}()
+	if d.forks != 6 || d.dirty {
+		t.Fatalf("after a panicking run: %d forks (dirty %v), want 6 and parked", d.forks, d.dirty)
+	}
+	world.onAttack = nil
+	sc := harnessScenario(t, 9, 2)
+	if got, want := h.RunFork(sc), newFakeHarness(t, &fakeWorld{}).Run(sc); !reflect.DeepEqual(got, want) {
+		t.Fatalf("run after a panic differs from cold:\nfork: %+v\ncold: %+v", got, want)
+	}
+	if n := world.dirtyArms.Load(); n != 0 {
+		t.Fatalf("%d runs armed an unparked master", n)
 	}
 }

@@ -6,10 +6,11 @@ import (
 )
 
 // PhaseTimes decomposes where a fork-capable harness spends its
-// wall-clock: master build+warmup, baseline measurement, snapshot
-// restore+arm (the fork itself), the measurement window, and impact
-// scoring. Harnesses accumulate into it with atomic adds (campaign
-// workers and the pipelined prefetcher run concurrently, so on
+// wall-clock: master build+warmup+capture, baseline measurement, fault
+// arming plus the park that follows every run (the fork itself: the
+// snapshot restore that returns the window's scratch), the measurement
+// window, and impact scoring. Harnesses accumulate into it with atomic
+// adds (campaign workers run concurrently, so on
 // multi-core machines the phase seconds may legitimately sum to more
 // than the campaign's wall-clock). cmd/bench emits the breakdown as the
 // campaign_phases section of the BENCH trajectory.
@@ -37,7 +38,7 @@ func (p *PhaseTimes) AddWarmup(d time.Duration) { p.warmup.Add(int64(d)) }
 // AddBaseline accrues baseline measurement time.
 func (p *PhaseTimes) AddBaseline(d time.Duration) { p.baseline.Add(int64(d)) }
 
-// AddFork accrues snapshot restore + fault arming time.
+// AddFork accrues fault arming + post-run park (snapshot restore) time.
 func (p *PhaseTimes) AddFork(d time.Duration) { p.fork.Add(int64(d)) }
 
 // AddRun accrues measurement-window execution time.

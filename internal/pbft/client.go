@@ -9,6 +9,7 @@ import (
 	"avd/internal/mac"
 	"avd/internal/sim"
 	"avd/internal/simnet"
+	"avd/internal/slab"
 )
 
 // PointGenerateMAC is the fault-injection point instrumenting every MAC
@@ -84,17 +85,28 @@ type Client struct {
 	allAddrs   []simnet.Addr
 	authKeys   []mac.Key // pairwise key per replica, derived once
 
-	// Rewindable bump slabs for requests and their authenticator
-	// vectors (see slab in replica.go): requests are built once per
-	// transmission and shared by pointer; a snapshot restore rewinds
-	// both slabs to their capture marks.
-	reqSlab slab[Request]
-	auths   tagSlab
+	// arena carves requests and their authenticator vectors: requests
+	// are built once per transmission and shared by pointer, and a
+	// snapshot restore rewinds the arena to its capture marks.
+	arena *ClientArena
 
 	// onComplete, when set, observes every completed request.
 	onComplete func(seq uint64, latency time.Duration)
 
 	stats ClientStats
+}
+
+// ClientArena is the pair of rewindable slabs (package slab) clients
+// carve requests and authenticator vectors from. A deployment gives all
+// its clients one arena, so its request traffic writes through one
+// allocation stream instead of one per client, and parking it returns
+// one set of chunks; a client built without one gets a private arena.
+// Every client of an arena captures the same marks (client snapshots
+// allocate nothing from it), and Client.Restore allocates nothing from
+// it either, so rewinding once per client is the same as rewinding once.
+type ClientArena struct {
+	reqs  slab.Slab[Request]
+	auths slab.Slab[mac.Tag]
 }
 
 // ClientOption customizes client construction.
@@ -109,6 +121,11 @@ func WithInjector(in *faultinject.Injector) ClientOption {
 // WithOnComplete registers a completion observer.
 func WithOnComplete(fn func(seq uint64, latency time.Duration)) ClientOption {
 	return func(c *Client) { c.onComplete = fn }
+}
+
+// WithArena makes the client carve its requests from a shared arena.
+func WithArena(a *ClientArena) ClientOption {
+	return func(c *Client) { c.arena = a }
 }
 
 // NewClient creates a client at addr (which must not collide with the
@@ -138,6 +155,9 @@ func NewClient(addr simnet.Addr, pcfg Config, ccfg ClientConfig, net *simnet.Net
 	}
 	for _, opt := range opts {
 		opt(c)
+	}
+	if c.arena == nil {
+		c.arena = &ClientArena{}
 	}
 	c.retryFn = func() { c.onRetry(c.retryFor) }
 	c.macPoint = c.inj.Point(PointGenerateMAC)
@@ -211,7 +231,7 @@ func (c *Client) issueNext() {
 // transmission but leave its retransmission intact (the undocumented-bug
 // dynamics of §6).
 func (c *Client) buildRequest(retransmission bool) *Request {
-	req := c.reqSlab.get()
+	req := c.arena.reqs.Get()
 	*req = Request{
 		Client:         c.addr,
 		Seq:            c.seq,
@@ -219,7 +239,7 @@ func (c *Client) buildRequest(retransmission bool) *Request {
 		Retransmission: retransmission,
 	}
 	digest := req.Digest()
-	auth := c.auths.get(c.pcfg.N)
+	auth := mac.Authenticator(c.arena.auths.GetN(c.pcfg.N))
 	for i := range auth {
 		auth[i] = c.generateMAC(i, digest)
 	}

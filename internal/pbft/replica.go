@@ -8,76 +8,8 @@ import (
 	"avd/internal/mac"
 	"avd/internal/sim"
 	"avd/internal/simnet"
+	"avd/internal/slab"
 )
-
-// slab is a rewindable bump allocator for protocol objects that are
-// built once, shared by pointer and never individually freed (requests,
-// replies, votes): a full-throughput deployment used to allocate one
-// heap object per reply per replica, which made the allocator and the
-// garbage collector the top sites of a campaign profile.
-//
-// Rewindability is what makes snapshot/fork execution allocation-flat:
-// everything a measurement window builds becomes unreachable the moment
-// the deployment restores its snapshot, so Restore rewinds each slab to
-// its capture mark and the next fork overwrites the same memory.
-// Objects are handed out dirty — every call site fully initializes the
-// object — and objects allocated before the mark are never rewound, so
-// pointers captured by the snapshot stay valid.
-type slab[T any] struct {
-	chunks [][]T
-	ci     int // chunk currently being carved
-	off    int // next free slot in that chunk
-}
-
-// slabMark is a rewind point: the allocation position at capture time.
-type slabMark struct{ ci, off int }
-
-const slabChunk = 512
-
-func (s *slab[T]) get() *T {
-	if s.ci == len(s.chunks) {
-		s.chunks = append(s.chunks, make([]T, slabChunk))
-	}
-	c := s.chunks[s.ci]
-	p := &c[s.off]
-	if s.off++; s.off == len(c) {
-		s.ci++
-		s.off = 0
-	}
-	return p
-}
-
-func (s *slab[T]) mark() slabMark    { return slabMark{ci: s.ci, off: s.off} }
-func (s *slab[T]) rewind(m slabMark) { s.ci, s.off = m.ci, m.off }
-
-// tagSlab is the authenticator-vector variant of slab: it carves
-// n-contiguous []mac.Tag windows and rewinds the same way.
-type tagSlab struct {
-	chunks [][]mac.Tag
-	ci     int
-	off    int
-}
-
-func (s *tagSlab) get(n int) mac.Authenticator {
-	if s.ci < len(s.chunks) && s.off+n > len(s.chunks[s.ci]) {
-		s.ci++
-		s.off = 0
-	}
-	if s.ci == len(s.chunks) {
-		size := 256 * n
-		s.chunks = append(s.chunks, make([]mac.Tag, size))
-	}
-	c := s.chunks[s.ci]
-	a := mac.Authenticator(c[s.off : s.off+n : s.off+n])
-	if s.off += n; s.off == len(c) {
-		s.ci++
-		s.off = 0
-	}
-	return a
-}
-
-func (s *tagSlab) mark() slabMark    { return slabMark{ci: s.ci, off: s.off} }
-func (s *tagSlab) rewind(m slabMark) { s.ci, s.off = m.ci, m.off }
 
 // voteSet is a dense vote record over replica ids: a presence bitmask
 // plus one digest slot per replica. It replaces the per-entry
@@ -305,16 +237,18 @@ type Replica struct {
 	clientKeys []mac.Key
 
 	// Rewindable bump slabs for protocol objects built on the agreement
-	// hot path (see slab). auths backs authenticator vectors, N tags at
-	// a time. Snapshot captures each slab's mark and Restore rewinds it:
-	// a fork reuses the previous window's memory.
-	replySlab  slab[Reply]            //avdlint:derived slab storage: Snapshot/Restore track the mark; Crash/Restart rebuild from durable state
-	prepSlab   slab[Prepare]          //avdlint:derived slab storage: Snapshot/Restore track the mark; Crash/Restart rebuild from durable state
-	commitSlab slab[Commit]           //avdlint:derived slab storage: Snapshot/Restore track the mark; Crash/Restart rebuild from durable state
-	ppSlab     slab[PrePrepare]       //avdlint:derived slab storage: Snapshot/Restore track the mark; Crash/Restart rebuild from durable state
-	fwSlab     slab[forwarded]        //avdlint:derived slab storage: Snapshot/Restore track the mark; Crash/Restart rebuild from durable state
-	fwdMsgSlab slab[ForwardedRequest] //avdlint:derived slab storage: Snapshot/Restore track the mark; Crash/Restart rebuild from durable state
-	auths      tagSlab                //avdlint:derived slab storage: Snapshot/Restore track the mark; Crash/Restart rebuild from durable state
+	// hot path (package slab). auths backs authenticator vectors, N tags
+	// at a time, and batchSlab the request lists of proposed batches.
+	// Snapshot captures each slab's mark and Restore rewinds it: a fork
+	// reuses pooled memory instead of allocating.
+	replySlab  slab.Slab[Reply]            //avdlint:derived slab storage: Snapshot/Restore track the mark; Crash/Restart rebuild from durable state
+	prepSlab   slab.Slab[Prepare]          //avdlint:derived slab storage: Snapshot/Restore track the mark; Crash/Restart rebuild from durable state
+	commitSlab slab.Slab[Commit]           //avdlint:derived slab storage: Snapshot/Restore track the mark; Crash/Restart rebuild from durable state
+	ppSlab     slab.Slab[PrePrepare]       //avdlint:derived slab storage: Snapshot/Restore track the mark; Crash/Restart rebuild from durable state
+	fwSlab     slab.Slab[forwarded]        //avdlint:derived slab storage: Snapshot/Restore track the mark; Crash/Restart rebuild from durable state
+	fwdMsgSlab slab.Slab[ForwardedRequest] //avdlint:derived slab storage: Snapshot/Restore track the mark; Crash/Restart rebuild from durable state
+	auths      slab.Slab[mac.Tag]          //avdlint:derived slab storage: Snapshot/Restore track the mark; Crash/Restart rebuild from durable state
+	batchSlab  slab.Slab[*Request]         //avdlint:derived slab storage: Snapshot/Restore track the mark; Crash/Restart rebuild from durable state
 
 	// commitObserver, when set, observes every batch execution: the
 	// sequence number and the batch digest this replica committed there.
@@ -454,7 +388,7 @@ func (r *Replica) replicaAddrs() []simnet.Addr { return r.allAddrs }
 // vector is carved from the tag slab: one bump per authenticator instead
 // of one heap object.
 func (r *Replica) authFor(digest uint64) mac.Authenticator {
-	a := r.auths.get(r.cfg.N)
+	a := mac.Authenticator(r.auths.GetN(r.cfg.N))
 	for i, k := range r.authKeys {
 		a[i] = mac.Sum(k, digest)
 	}
@@ -613,7 +547,7 @@ func (r *Replica) Restart() {
 	r.crashed = false
 	r.crashReason = ""
 	r.stats.Restarts++
-	r.pending = nil
+	r.pending = r.pending[:0]
 	clear(r.admitted)
 	clear(r.pendingForwarded)
 	clear(r.pendingBad)
@@ -674,7 +608,7 @@ func (r *Replica) onDirectRequest(req *Request) {
 	valid := r.verifyClientMAC(req)
 	fw, ok := r.pendingForwarded[key]
 	if !ok {
-		fw = r.fwSlab.get()
+		fw = r.fwSlab.Get()
 		fw.req, fw.verified = req, false
 		r.pendingForwarded[key] = fw
 		r.stats.ForwardedRequests++
@@ -685,7 +619,7 @@ func (r *Replica) onDirectRequest(req *Request) {
 		r.healPoisoned(key)
 	}
 	if !r.inViewChange {
-		fm := r.fwdMsgSlab.get()
+		fm := r.fwdMsgSlab.Get()
 		fm.Request, fm.Replica = req, r.id
 		r.net.Send(r.Addr(), simnet.Addr(r.cfg.PrimaryOf(r.view)), fm)
 		r.armRequestTimer(key)
@@ -718,7 +652,7 @@ func (r *Replica) healPoisoned(key RequestKey) {
 		if r.inViewChange || entry.view != r.view || entry.prePrepare == nil {
 			continue
 		}
-		prep := r.prepSlab.get()
+		prep := r.prepSlab.Get()
 		*prep = Prepare{View: entry.view, SeqNo: si.seq, Digest: entry.digest, Replica: r.id}
 		prep.Auth = r.authFor(fnv3(prep.View, prep.SeqNo, prep.Digest))
 		entry.prepares.set(r.id, entry.digest)
@@ -783,21 +717,23 @@ func (r *Replica) admit(req *Request) {
 		r.admitted = append(r.admitted, 0)
 	}
 	r.admitted[req.Client] = req.Seq
-	r.appendPending(req)
+	r.pending = append(r.pending, req)
 }
 
-// appendPending buffers a request for the next batch. Proposed batches
-// are resliced prefixes of the buffer that escape into the log, so the
-// backing array can never be rewound; growing in large chunks keeps the
-// admission path at one allocation per ~thousand requests instead of one
-// per proposed batch.
-func (r *Replica) appendPending(req *Request) {
-	if len(r.pending) == cap(r.pending) {
-		nb := make([]*Request, len(r.pending), 1024+2*len(r.pending))
-		copy(nb, r.pending)
-		r.pending = nb
+// takePending moves the first n buffered requests into a batch carved
+// from the batch slab and closes the gap. The batch escapes into the
+// log and the pre-prepare, and the snapshot restore rewinds it with the
+// slab; the pending buffer itself is never shared.
+func (r *Replica) takePending(n int) []*Request {
+	var batch []*Request
+	if n <= slab.Chunk {
+		batch = r.batchSlab.GetN(n)
+	} else {
+		batch = make([]*Request, n)
 	}
-	r.pending = append(r.pending, req)
+	copy(batch, r.pending)
+	r.pending = r.pending[:copy(r.pending, r.pending[n:])]
+	return batch
 }
 
 // proposeBatch emits a pre-prepare for the currently buffered requests.
@@ -815,10 +751,7 @@ func (r *Replica) proposeBatch() {
 		if n > r.cfg.BatchSize {
 			n = r.cfg.BatchSize
 		}
-		// Reslice instead of copying the tail: the batch prefix escapes
-		// into the log/pre-prepare, and later appends write past it.
-		batch := r.pending[:n:n]
-		r.pending = r.pending[n:]
+		batch := r.takePending(n)
 		r.seqCounter++
 		r.sendPrePrepare(r.seqCounter, batch)
 	}
@@ -831,7 +764,7 @@ func (r *Replica) sendPrePrepare(seq uint64, batch []*Request) {
 		return
 	}
 	digest := BatchDigest(batch)
-	pp := r.ppSlab.get()
+	pp := r.ppSlab.Get()
 	*pp = PrePrepare{
 		View:   r.view,
 		SeqNo:  seq,
@@ -949,7 +882,7 @@ func (r *Replica) onPrePrepare(from int, pp *PrePrepare) {
 		r.checkCommitted(pp.SeqNo, entry)
 		return
 	}
-	prep := r.prepSlab.get()
+	prep := r.prepSlab.Get()
 	*prep = Prepare{View: pp.View, SeqNo: pp.SeqNo, Digest: pp.Digest, Replica: r.id}
 	prep.Auth = r.authFor(fnv3(prep.View, prep.SeqNo, prep.Digest))
 	entry.prepares.set(r.id, pp.Digest)
@@ -1032,7 +965,7 @@ func (r *Replica) checkPrepared(seq uint64, entry *logEntry) {
 		return
 	}
 	entry.prepared = true
-	c := r.commitSlab.get()
+	c := r.commitSlab.Get()
 	*c = Commit{View: entry.view, SeqNo: seq, Digest: entry.digest, Replica: r.id}
 	c.Auth = r.authFor(fnv3(c.View, c.SeqNo, c.Digest))
 	entry.commits.set(r.id, entry.digest)
@@ -1123,7 +1056,7 @@ func (r *Replica) executeBatch(seq uint64, entry *logEntry) {
 		}
 		r.stateDigest = fnv3(r.stateDigest, req.Digest(), seq)
 		r.stats.RequestsExecuted++
-		reply := r.replySlab.get()
+		reply := r.replySlab.Get()
 		*reply = Reply{
 			View:    r.view,
 			Replica: r.id,
@@ -1299,11 +1232,10 @@ func (r *Replica) onSlowTick() {
 		return
 	}
 	if len(r.pending) > 0 {
-		req := r.pending[0]
-		r.pending = r.pending[1:]
+		batch := r.takePending(1)
 		if r.seqCounter+1 <= r.lowWater+r.cfg.WindowSize {
 			r.seqCounter++
-			r.sendPrePrepare(r.seqCounter, []*Request{req})
+			r.sendPrePrepare(r.seqCounter, batch)
 		}
 	}
 	r.armSlowTimer()

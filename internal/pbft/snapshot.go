@@ -5,6 +5,7 @@ import (
 
 	"avd/internal/faultinject"
 	"avd/internal/sim"
+	"avd/internal/slab"
 )
 
 // This file implements the SUT side of snapshot/fork execution
@@ -84,13 +85,14 @@ type ReplicaState struct {
 	// Slab rewind marks: everything the measurement window allocated
 	// above these positions is unreachable after Restore, so the slabs
 	// roll back and the next fork reuses the memory.
-	replyMark  slabMark
-	prepMark   slabMark
-	commitMark slabMark
-	ppMark     slabMark
-	fwMark     slabMark
-	fwdMsgMark slabMark
-	authMark   slabMark
+	replyMark  slab.Mark
+	prepMark   slab.Mark
+	commitMark slab.Mark
+	ppMark     slab.Mark
+	fwMark     slab.Mark
+	fwdMsgMark slab.Mark
+	authMark   slab.Mark
+	batchMark  slab.Mark
 
 	viewChanges  map[uint64]map[int]*ViewChange
 	newViewTimer sim.Timer
@@ -128,13 +130,14 @@ func (r *Replica) Snapshot() *ReplicaState {
 		newViewTimer:     r.newViewTimer,
 		nvTimeout:        r.nvTimeout,
 		stats:            r.stats,
-		replyMark:        r.replySlab.mark(),
-		prepMark:         r.prepSlab.mark(),
-		commitMark:       r.commitSlab.mark(),
-		ppMark:           r.ppSlab.mark(),
-		fwMark:           r.fwSlab.mark(),
-		fwdMsgMark:       r.fwdMsgSlab.mark(),
-		authMark:         r.auths.mark(),
+		replyMark:        r.replySlab.Mark(),
+		prepMark:         r.prepSlab.Mark(),
+		commitMark:       r.commitSlab.Mark(),
+		ppMark:           r.ppSlab.Mark(),
+		fwMark:           r.fwSlab.Mark(),
+		fwdMsgMark:       r.fwdMsgSlab.Mark(),
+		authMark:         r.auths.Mark(),
+		batchMark:        r.batchSlab.Mark(),
 	}
 	//avdlint:allow capture: each iteration writes only its own seq key and reads only that entry
 	for seq, e := range r.log {
@@ -187,13 +190,14 @@ func (r *Replica) Snapshot() *ReplicaState {
 func (r *Replica) Restore(s *ReplicaState) {
 	// Rewind the object slabs first: the window's objects are garbage,
 	// and allocations below (forwarded copies) reuse their memory.
-	r.replySlab.rewind(s.replyMark)
-	r.prepSlab.rewind(s.prepMark)
-	r.commitSlab.rewind(s.commitMark)
-	r.ppSlab.rewind(s.ppMark)
-	r.fwSlab.rewind(s.fwMark)
-	r.fwdMsgSlab.rewind(s.fwdMsgMark)
-	r.auths.rewind(s.authMark)
+	r.replySlab.Rewind(s.replyMark)
+	r.prepSlab.Rewind(s.prepMark)
+	r.commitSlab.Rewind(s.commitMark)
+	r.ppSlab.Rewind(s.ppMark)
+	r.fwSlab.Rewind(s.fwMark)
+	r.fwdMsgSlab.Rewind(s.fwdMsgMark)
+	r.auths.Rewind(s.authMark)
+	r.batchSlab.Rewind(s.batchMark)
 	r.crashed = s.crashed
 	r.crashReason = s.crashReason
 	r.view = s.view
@@ -202,11 +206,15 @@ func (r *Replica) Restore(s *ReplicaState) {
 	r.seqCounter = s.seqCounter
 	r.lastExec = s.lastExec
 	r.lowWater = s.lowWater
+	// Drain, then clear: clear leaves the table free of the tombstones
+	// per-key deletes would, so every fork starts the map from the same
+	// layout and a tombstone-driven regrowth cannot recur window after
+	// window.
 	//avdlint:allow restore drain: freed entries are fully reset on reuse, so drain order is not observable
-	for seq, e := range r.log {
+	for _, e := range r.log {
 		r.freeEntry(e)
-		delete(r.log, seq)
 	}
+	clear(r.log)
 	for _, es := range s.log {
 		e := r.newEntry()
 		e.view = es.view
@@ -234,7 +242,7 @@ func (r *Replica) Restore(s *ReplicaState) {
 	clear(r.pendingForwarded)
 	//avdlint:allow restore refill: slab objects are fully overwritten per key and the slab mark counts allocations, not order
 	for k, fw := range s.pendingForwarded {
-		cp := r.fwSlab.get()
+		cp := r.fwSlab.Get()
 		*cp = fw
 		r.pendingForwarded[k] = cp
 	}
@@ -249,10 +257,10 @@ func (r *Replica) Restore(s *ReplicaState) {
 		r.pendingBad[k] = append([]seqIdx(nil), v...)
 	}
 	//avdlint:allow restore drain: freed vote sets are fully reset on reuse, so drain order is not observable
-	for seq, cs := range r.checkpoints {
+	for _, cs := range r.checkpoints {
 		r.freeCkptSet(cs)
-		delete(r.checkpoints, seq)
 	}
+	clear(r.checkpoints)
 	//avdlint:allow restore refill: pooled vote sets are fully overwritten per key before use
 	for seq, by := range s.checkpoints {
 		cs := r.newCkptSet()
@@ -308,8 +316,8 @@ type ClientState struct {
 	broadcast  bool
 	counters   map[string]uint64
 	stats      ClientStats
-	reqMark    slabMark
-	authMark   slabMark
+	reqMark    slab.Mark
+	authMark   slab.Mark
 }
 
 // Snapshot captures the client's complete mutable state, including its
@@ -331,16 +339,16 @@ func (c *Client) Snapshot() *ClientState {
 		broadcast:  c.ccfg.Broadcast,
 		counters:   c.inj.CounterSnapshot(),
 		stats:      c.stats,
-		reqMark:    c.reqSlab.mark(),
-		authMark:   c.auths.mark(),
+		reqMark:    c.arena.reqs.Mark(),
+		authMark:   c.arena.auths.Mark(),
 	}
 	return s
 }
 
 // Restore rolls the client back to the captured state.
 func (c *Client) Restore(s *ClientState) {
-	c.reqSlab.rewind(s.reqMark)
-	c.auths.rewind(s.authMark)
+	c.arena.reqs.Rewind(s.reqMark)
+	c.arena.auths.Rewind(s.authMark)
 	c.running = s.running
 	c.view = s.view
 	c.seq = s.seq

@@ -35,7 +35,7 @@ func (r *Replica) startViewChange(target uint64) {
 	r.pendingView = target
 	r.batchTimer.Stop()
 	r.stopAllRequestTimers()
-	r.pending = nil
+	r.pending = r.pending[:0]
 	clear(r.admitted) // dropped pending work may be re-admitted in the new view
 
 	vc := &ViewChange{

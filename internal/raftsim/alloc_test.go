@@ -8,7 +8,7 @@ import (
 	"avd/internal/simnet"
 )
 
-// TestRaftRestoreAllocFree pins the slab diet (slab.go): once the
+// TestRaftRestoreAllocFree pins the slab diet (package slab): once the
 // message slabs, the engine's lane buffers and the latency tail have
 // reached steady-state capacity, a measurement-window/restore cycle must
 // not allocate. Every AppendEntries batch, vote, client request and
@@ -38,7 +38,7 @@ func TestRaftRestoreAllocFree(t *testing.T) {
 // TestLaggingFollowerAllocBound pins the cost of a lagging follower. A
 // follower whose replies never arrive (a one-way partition) is resent
 // the leader's whole log suffix with every heartbeat and every client
-// broadcast. Shared by reference (the shared-suffix invariant, slab.go)
+// broadcast. Shared by reference (the shared-suffix invariant, see sendAppend)
 // a send costs the same at any lag and the window below allocates about
 // 1.4 MB; copied into slab windows, its 3000-entry suffix made the same
 // window allocate 62 MB.

@@ -6,6 +6,7 @@ import (
 
 	"avd/internal/sim"
 	"avd/internal/simnet"
+	"avd/internal/slab"
 )
 
 // ClientConfig tunes the closed-loop Raft clients.
@@ -54,9 +55,9 @@ type Client struct {
 	retryFn  func()
 
 	// reqSlab bump-allocates outgoing requests; Restore rewinds it
-	// (slab.go), so retransmission storms cost no heap allocations on the
+	// (package slab), so retransmission storms cost no heap allocations on the
 	// forked hot path.
-	reqSlab slab[ClientRequest]
+	reqSlab slab.Slab[ClientRequest]
 
 	onComplete func(seq uint64, latency time.Duration)
 	stats      ClientStats
@@ -143,7 +144,7 @@ func (c *Client) issueNext() {
 }
 
 func (c *Client) send() {
-	req := c.reqSlab.get()
+	req := c.reqSlab.Get()
 	*req = ClientRequest{Client: c.addr, Seq: c.seq}
 	c.net.Send(c.addr, simnet.Addr(c.target), req)
 	c.armRetry()

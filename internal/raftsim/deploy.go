@@ -31,6 +31,9 @@ type deployment struct {
 	// win counts client completions inside the measurement window.
 	win metrics.Window
 
+	// corr carves link-corrupted message copies.
+	corr corrupter
+
 	snap *deploymentSnapshot
 }
 
@@ -42,6 +45,7 @@ type deploymentSnapshot struct {
 	oracles []any
 	nodes   []*NodeState
 	clients []*ClientState
+	corr    corrupterMark
 }
 
 var _ core.Deployment[Report] = (*deployment)(nil)
@@ -103,7 +107,7 @@ func newDeployment(w Workload, clients int64) *deployment {
 }
 
 // Fork implements core.Deployment: the first call captures the
-// post-warmup snapshot, later calls restore it.
+// post-warmup snapshot, later calls park the deployment on it.
 func (d *deployment) Fork() {
 	if d.snap == nil {
 		d.capture()
@@ -118,6 +122,7 @@ func (d *deployment) capture() {
 		eng:     d.eng.Snapshot(),
 		net:     d.net.Snapshot(),
 		oracles: d.oracles.Snapshot(),
+		corr:    d.corr.mark(),
 	}
 	for _, n := range d.nodes {
 		s.nodes = append(s.nodes, n.Snapshot())
@@ -140,6 +145,7 @@ func (d *deployment) restore() {
 	for i, c := range d.cs {
 		c.Restore(s.clients[i])
 	}
+	d.corr.rewind(s.corr)
 	d.win.Reset()
 }
 
@@ -206,7 +212,7 @@ func (d *deployment) Arm(sc scenario.Scenario, withFaults bool, extra ...oracle.
 				Decision: faultinject.Decision{Action: faultinject.ActCorrupt},
 			},
 		)
-		d.net.ArmLinkFaults(from, simnet.AnyAddr, plan, corruptPayload)
+		d.net.ArmLinkFaults(from, simnet.AnyAddr, plan, d.corr.corrupt)
 	}
 }
 

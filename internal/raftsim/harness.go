@@ -8,6 +8,7 @@ import (
 	"avd/internal/scenario"
 	"avd/internal/sim"
 	"avd/internal/simnet"
+	"avd/internal/slab"
 )
 
 // Workload fixes everything about a Raft test that is not a hyperspace
@@ -197,33 +198,64 @@ func (a *crashRestart) restart() {
 	a.victim = -1
 }
 
-// corruptPayload is the raft target's simnet.Corrupter: it garbles a
+// corrupter is the raft target's simnet.Corrupter: it garbles a
 // protocol message into a new value (payloads are shared and must never
 // be mutated in place). Corruptions perturb protocol claims — log-state
 // advertisements, consistency-check coordinates, vote/ack verdicts —
 // rather than forging identities, modelling bit rot the transport failed
 // to catch. Client traffic is left alone (it has its own fault tools).
-func corruptPayload(from, to simnet.Addr, payload any) any {
+//
+// The copies are carved from the deployment's rewindable slabs instead
+// of the heap, where they were most of a link-fault campaign's
+// allocations. Corruption arms after the snapshot is captured, so every
+// copy lies past the capture marks and the park rewinds it.
+type corrupter struct {
+	rv  slab.Slab[RequestVote]
+	rvr slab.Slab[RequestVoteReply]
+	ae  slab.Slab[AppendEntries]
+	aer slab.Slab[AppendEntriesReply]
+}
+
+// corrupterMark is the corrupter's capture position.
+type corrupterMark struct{ rv, rvr, ae, aer slab.Mark }
+
+func (c *corrupter) mark() corrupterMark {
+	return corrupterMark{rv: c.rv.Mark(), rvr: c.rvr.Mark(), ae: c.ae.Mark(), aer: c.aer.Mark()}
+}
+
+func (c *corrupter) rewind(m corrupterMark) {
+	c.rv.Rewind(m.rv)
+	c.rvr.Rewind(m.rvr)
+	c.ae.Rewind(m.ae)
+	c.aer.Rewind(m.aer)
+}
+
+// corrupt implements simnet.Corrupter.
+func (c *corrupter) corrupt(from, to simnet.Addr, payload any) any {
 	switch m := payload.(type) {
 	case *RequestVote:
-		c := *m
-		c.LastLogIndex ^= 1
-		c.LastLogTerm ^= 1
-		return &c
+		cp := c.rv.Get()
+		*cp = *m
+		cp.LastLogIndex ^= 1
+		cp.LastLogTerm ^= 1
+		return cp
 	case *RequestVoteReply:
-		c := *m
-		c.Granted = false
-		return &c
+		cp := c.rvr.Get()
+		*cp = *m
+		cp.Granted = false
+		return cp
 	case *AppendEntries:
-		c := *m
-		c.PrevLogIndex ^= 1
-		c.PrevLogTerm ^= 1
-		return &c
+		cp := c.ae.Get()
+		*cp = *m
+		cp.PrevLogIndex ^= 1
+		cp.PrevLogTerm ^= 1
+		return cp
 	case *AppendEntriesReply:
-		c := *m
-		c.Success = false
-		c.MatchIndex = 0
-		return &c
+		cp := c.aer.Get()
+		*cp = *m
+		cp.Success = false
+		cp.MatchIndex = 0
+		return cp
 	}
 	return nil
 }

@@ -16,7 +16,7 @@ type batchKey struct {
 	n     int
 }
 
-// payloadTap checks the shared-suffix invariant (slab.go) end to end: it
+// payloadTap checks the shared-suffix invariant (see sendAppend) end to end: it
 // records a checksum of every AppendEntries batch when it is sent and
 // checks it again when it is delivered, so a sender that rewrites a log
 // index an in-flight batch still shares is caught at the receiver.

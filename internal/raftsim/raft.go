@@ -20,6 +20,7 @@ import (
 
 	"avd/internal/sim"
 	"avd/internal/simnet"
+	"avd/internal/slab"
 )
 
 // Config is the Raft protocol configuration shared by all nodes.
@@ -230,7 +231,7 @@ type Node struct {
 	votedFor int // -1 = none this term
 	leader   int // -1 = unknown
 	// log is shared by reference with in-flight AppendEntries batches,
-	// under the shared-suffix invariant (slab.go): an index below any
+	// under the shared-suffix invariant (see sendAppend): an index below any
 	// length the node has already shared is never rewritten.
 	log     []Entry
 	commit  uint64
@@ -256,14 +257,14 @@ type Node struct {
 	// a retransmission of an in-flight request is not appended twice.
 	pending []uint64
 
-	// Message slabs (slab.go): every wire message the node sends is bump-
+	// Message slabs (package slab): every wire message the node sends is bump-
 	// allocated and rewound by Restore, keeping the forked hot path
 	// allocation-flat.
-	rvSlab  slab[RequestVote]        //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
-	rvrSlab slab[RequestVoteReply]   //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
-	aeSlab  slab[AppendEntries]      //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
-	aerSlab slab[AppendEntriesReply] //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
-	crSlab  slab[ClientReply]        //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
+	rvSlab  slab.Slab[RequestVote]        //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
+	rvrSlab slab.Slab[RequestVoteReply]   //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
+	aeSlab  slab.Slab[AppendEntries]      //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
+	aerSlab slab.Slab[AppendEntriesReply] //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
+	crSlab  slab.Slab[ClientReply]        //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
 
 	// Oracle observers, invoked on the simulation goroutine: onLead when
 	// the node assumes leadership for a term, onApply for every log
@@ -445,7 +446,7 @@ func (n *Node) onElectionTimeout() {
 	n.stats.ElectionsStarted++
 	n.votes = 1 << uint(n.id)
 	lastIdx, lastTerm := n.lastLog()
-	rv := n.rvSlab.get()
+	rv := n.rvSlab.Get()
 	*rv = RequestVote{Term: n.term, Candidate: n.id, LastLogIndex: lastIdx, LastLogTerm: lastTerm}
 	for peer := 0; peer < n.cfg.N; peer++ {
 		if peer != n.id {
@@ -496,6 +497,16 @@ func (n *Node) broadcastAppend() {
 	}
 }
 
+// sendAppend ships peer the entries from its nextIndex. The entries need
+// no slab: they share the leader's log suffix by reference, under the
+// shared-suffix invariant — an index of a node's log backing array below
+// any length the node has already shared is never rewritten. The log
+// grows in place; conflict truncation copies onto a fresh array and a
+// state-losing Crash drops the array, so a batch in flight reads the
+// values it was sent with. Restore copies in place, which is sound too:
+// into the capture-time array it writes back the values already there,
+// and a later array is shared only by messages the rollback discarded.
+// (Copying the suffix per send cost O(lag), quadratic under link faults.)
 func (n *Node) sendAppend(peer int) {
 	next := n.nextIndex[peer]
 	if next < 1 {
@@ -512,7 +523,7 @@ func (n *Node) sendAppend(peer int) {
 		// stops a receiver appending into the leader's array.
 		entries = n.log[next-1 : l : l]
 	}
-	ae := n.aeSlab.get()
+	ae := n.aeSlab.Get()
 	*ae = AppendEntries{
 		Term:         n.term,
 		Leader:       n.id,
@@ -557,7 +568,7 @@ func (n *Node) onRequestVote(m *RequestVote) {
 			n.resetElectionTimer()
 		}
 	}
-	rep := n.rvrSlab.get()
+	rep := n.rvrSlab.Get()
 	*rep = RequestVoteReply{Term: n.term, From: n.id, Granted: granted}
 	n.net.Send(simnet.Addr(n.id), simnet.Addr(m.Candidate), rep)
 }
@@ -626,14 +637,14 @@ func (n *Node) onAppendEntries(m *AppendEntries) {
 
 // sendAppendReply answers an AppendEntries from the reply slab.
 func (n *Node) sendAppendReply(leader int, success bool, matchIdx uint64) {
-	rep := n.aerSlab.get()
+	rep := n.aerSlab.Get()
 	*rep = AppendEntriesReply{Term: n.term, From: n.id, Success: success, MatchIndex: matchIdx}
 	n.net.Send(simnet.Addr(n.id), simnet.Addr(leader), rep)
 }
 
 // sendClientReply answers a ClientRequest from the reply slab.
 func (n *Node) sendClientReply(client simnet.Addr, seq uint64, ok bool, leaderHint int) {
-	rep := n.crSlab.get()
+	rep := n.crSlab.Get()
 	*rep = ClientReply{Seq: seq, OK: ok, Leader: leaderHint}
 	n.net.Send(simnet.Addr(n.id), client, rep)
 }

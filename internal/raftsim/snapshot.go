@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"avd/internal/sim"
+	"avd/internal/slab"
 )
 
 // This file implements the SUT side of snapshot/fork execution
@@ -35,12 +36,12 @@ type NodeState struct {
 
 	// Slab rewind points: Restore rewinds each message slab to its
 	// capture mark, so everything a measurement window bump-allocated is
-	// reused by the next fork (slab.go).
-	rvMark  slabMark
-	rvrMark slabMark
-	aeMark  slabMark
-	aerMark slabMark
-	crMark  slabMark
+	// reused by the next fork (package slab).
+	rvMark  slab.Mark
+	rvrMark slab.Mark
+	aeMark  slab.Mark
+	aerMark slab.Mark
+	crMark  slab.Mark
 
 	stats NodeStats
 }
@@ -63,11 +64,11 @@ func (n *Node) Snapshot() *NodeState {
 		heartbeatTimer: n.heartbeatTimer,
 		lastSeq:        append([]uint64(nil), n.lastSeq...),
 		pending:        append([]uint64(nil), n.pending...),
-		rvMark:         n.rvSlab.mark(),
-		rvrMark:        n.rvrSlab.mark(),
-		aeMark:         n.aeSlab.mark(),
-		aerMark:        n.aerSlab.mark(),
-		crMark:         n.crSlab.mark(),
+		rvMark:         n.rvSlab.Mark(),
+		rvrMark:        n.rvrSlab.Mark(),
+		aeMark:         n.aeSlab.Mark(),
+		aerMark:        n.aerSlab.Mark(),
+		crMark:         n.crSlab.Mark(),
 		stats:          n.stats,
 	}
 	return s
@@ -77,17 +78,17 @@ func (n *Node) Snapshot() *NodeState {
 func (n *Node) Restore(s *NodeState) {
 	// Rewind the message slabs first: every object allocated after the
 	// mark is unreachable once the engine/network snapshots roll back.
-	n.rvSlab.rewind(s.rvMark)
-	n.rvrSlab.rewind(s.rvrMark)
-	n.aeSlab.rewind(s.aeMark)
-	n.aerSlab.rewind(s.aerMark)
-	n.crSlab.rewind(s.crMark)
+	n.rvSlab.Rewind(s.rvMark)
+	n.rvrSlab.Rewind(s.rvrMark)
+	n.aeSlab.Rewind(s.aeMark)
+	n.aerSlab.Rewind(s.aerMark)
+	n.crSlab.Rewind(s.crMark)
 	n.crashed = s.crashed
 	n.role = s.role
 	n.term = s.term
 	n.votedFor = s.votedFor
 	n.leader = s.leader
-	// In place, yet within the shared-suffix invariant (slab.go).
+	// In place, yet within the shared-suffix invariant (see sendAppend).
 	n.log = append(n.log[:0], s.log...)
 	n.commit = s.commit
 	n.applied = s.applied
@@ -110,7 +111,7 @@ type ClientState struct {
 	curRetry time.Duration
 	retryFor uint64
 	retry    sim.Timer
-	reqMark  slabMark
+	reqMark  slab.Mark
 	stats    ClientStats
 }
 
@@ -124,14 +125,14 @@ func (c *Client) Snapshot() *ClientState {
 		curRetry: c.curRetry,
 		retryFor: c.retryFor,
 		retry:    c.retry,
-		reqMark:  c.reqSlab.mark(),
+		reqMark:  c.reqSlab.Mark(),
 		stats:    c.stats,
 	}
 }
 
 // Restore rolls the client back to the captured state.
 func (c *Client) Restore(s *ClientState) {
-	c.reqSlab.rewind(s.reqMark)
+	c.reqSlab.Rewind(s.reqMark)
 	c.running = s.running
 	c.seq = s.seq
 	c.target = s.target

@@ -98,8 +98,8 @@ func snapshotScenario(b *testing.B) (*cluster.Target, scenario.Scenario) {
 	return r, sc
 }
 
-// BenchmarkSnapshotForkTest: one test through the fork path (restore a
-// warm master, arm faults, run the measurement window). The CI
+// BenchmarkSnapshotForkTest: one test through the fork path (arm faults
+// on a warm master, run the measurement window, park the master). The CI
 // perf-smoke job runs every Snapshot* benchmark at -benchtime=1x.
 func BenchmarkSnapshotForkTest(b *testing.B) {
 	r, sc := snapshotScenario(b)
